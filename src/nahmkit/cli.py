@@ -85,17 +85,23 @@ def _emit_text(obj, out, indent=0):
 
 
 def _precision(args, doc=None):
+    """Truncation order: --precision, else the document's (schema.loads has
+    checked it), else $NAHMKIT_PRECISION, else 24; an integer >= 1."""
     if args.precision is not None:
-        return args.precision
-    if doc is not None and doc.get("precision"):
-        return int(doc["precision"])
-    env = os.environ.get("NAHMKIT_PRECISION")
-    if env:
+        n, source = args.precision, "--precision"
+    elif doc is not None and doc.get("precision") is not None:
+        return doc["precision"]
+    else:
+        env = os.environ.get("NAHMKIT_PRECISION")
+        if not env:
+            return DEFAULT_PRECISION
         try:
-            return int(env)
+            n, source = int(env), "NAHMKIT_PRECISION"
         except ValueError:
             raise InputError(f"NAHMKIT_PRECISION must be an integer, got {env!r}")
-    return DEFAULT_PRECISION
+    if n < 1:
+        raise InputError(f"{source} must be an integer >= 1, got {n}")
+    return n
 
 
 def _generic_twist(ctx):
@@ -307,6 +313,7 @@ def cli_run(argv):
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        _precision(args)  # a bad flag or environment value fails every subcommand
         return args.func(args)
     except VerdictFailure as exc:
         print(f"verdict failure: {exc}", file=sys.stderr)

@@ -181,14 +181,6 @@ class CyclotomicField:
 # ----------------------------------------------------------------------
 
 
-def p_zero():
-    return {}
-
-
-def p_is_zero(a):
-    return not a
-
-
 def p_add(cf, a, b):
     out = dict(a)
     for m, c in b.items():
@@ -302,14 +294,6 @@ def _coeffs_in(a, v):
         d = m[v]
         key = m[:v] + (0,) + m[v + 1 :]
         out.setdefault(d, {})[key] = c
-    return out
-
-
-def _from_coeffs(v, coeffs):
-    out = {}
-    for d, p in coeffs.items():
-        for m, c in p.items():
-            out[m[:v] + (d,) + m[v + 1 :]] = c
     return out
 
 
@@ -485,12 +469,6 @@ class Scalar:
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return self == self.ctx.one
-
-    def is_rational(self):
-        return self.as_fraction() is not None
 
     def as_fraction(self):
         """The value as a Fraction if it is one, else None."""

@@ -76,9 +76,6 @@ class FilteredLattice:
     def frame_matrix(self):
         return self.frame if self.frame is not None else LaurentMatrix.identity(self.ctx, self.rank)
 
-    def has_explicit_frame(self):
-        return self.frame is not None
-
     def relevel(self, new_level):
         """Pure renormalization to another presented level."""
         return FilteredLattice(

@@ -1,24 +1,18 @@
 """Exact linear algebra over the session field (Scalar matrices).
 
-Matrices are plain lists of lists of Scalars.  Everything is classical
-fraction-field Gaussian elimination; sizes in this package are small (block
-splitting, residue matrices, torus-side endomorphisms), so clarity wins.
+Matrices are plain lists of lists of Scalars.  One sparse Gauss-Jordan
+elimination, rref, serves rank, kernel and solve (which hand it their dense
+rows as dicts of nonzero entries) and the oracle's truncated models (whose
+rows are sparse already).  The reduced row echelon form is unique, so every
+caller sees the same answer whatever order the elimination takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldExtensionRequired, InputError
+from .errors import FieldExtensionRequired
 from .field import scalar_sqrt
-
-
-def identity(ctx, n):
-    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(ctx, rows, cols):
-    return [[ctx.zero for _ in range(cols)] for _ in range(rows)]
 
 
 def mat_mul(a, b):
@@ -43,45 +37,56 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+def rref(rows):
+    """Sparse Gauss-Jordan elimination over the session field.
 
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def rref(mat):
-    """Reduced row echelon form; returns (rref, pivot columns, rank)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if pr is None:
+    rows: list of dicts {column: nonzero Scalar}; they are not modified.
+    Returns (reduced, pivots): the nonzero rows of the reduced row echelon
+    form, each a dict whose leading entry 1 sits in the column given by the
+    matching entry of the ascending list pivots.  The rank is len(pivots).
+    """
+    # pivot column -> the rest of its row, zero in every other pivot column
+    reduced = {}
+    one = None
+    for src in rows:
+        row = dict(src)
+        for c in [c for c in row if c in reduced]:
+            f = -row.pop(c)
+            for cc, v in reduced[c].items():
+                _axpy(row, cc, f * v)
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots, r
+        pc = min(row)
+        inv = row.pop(pc).inverse()
+        one = inv.ctx.one
+        row = {cc: v * inv for cc, v in row.items()}
+        for other in reduced.values():
+            f = other.pop(pc, None)
+            if f is not None:
+                f = -f
+                for cc, v in row.items():
+                    _axpy(other, cc, f * v)
+        reduced[pc] = row
+    pivots = sorted(reduced)
+    return [{c: one, **reduced[c]} for c in pivots], pivots
+
+
+def _axpy(row, c, x):
+    """row[c] += x, keeping the row free of zeros."""
+    v = row.get(c)
+    v = x if v is None else v + x
+    if v.is_zero():
+        row.pop(c, None)
+    else:
+        row[c] = v
+
+
+def _sparse(mat):
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in mat]
 
 
 def rank(mat):
-    return rref(mat)[2]
+    return len(rref(_sparse(mat))[1])
 
 
 def kernel(mat):
@@ -89,15 +94,15 @@ def kernel(mat):
     if not mat:
         return []
     ctx = mat[0][0].ctx
-    red, pivots, r = rref(mat)
+    red, pivots = rref(_sparse(mat))
     cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(cols)) - set(pivots)):
         v = [ctx.zero] * cols
         v[fc] = ctx.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+        for row, pc in zip(red, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
@@ -105,48 +110,18 @@ def kernel(mat):
 def solve(mat, rhs):
     """One solution of mat*x = rhs, or None."""
     ctx = mat[0][0].ctx
-    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
-    red, pivots, r = rref(aug)
     cols = len(mat[0])
-    if any(pc == cols for pc in pivots):
+    aug = _sparse(mat)
+    for row, b in zip(aug, rhs):
+        if not b.is_zero():
+            row[cols] = b
+    red, pivots = rref(aug)
+    if pivots and pivots[-1] == cols:
         return None
     x = [ctx.zero] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][cols]
+    for row, pc in zip(red, pivots):
+        x[pc] = row.get(cols, ctx.zero)
     return x
-
-
-def det(mat):
-    n = len(mat)
-    if n == 0:
-        raise InputError("determinant of empty matrix")
-    ctx = mat[0][0].ctx
-    m = [row[:] for row in mat]
-    out = ctx.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pr is None:
-            return ctx.zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            out = -out
-        out = out * m[c][c]
-        inv = m[c][c].inverse()
-        for i in range(c + 1, n):
-            if not m[i][c].is_zero():
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return out
-
-
-def inverse(mat):
-    n = len(mat)
-    ctx = mat[0][0].ctx
-    aug = [row[:] + ident_row for row, ident_row in zip(mat, identity(ctx, n))]
-    red, pivots, r = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InputError("matrix not invertible")
-    return [row[n:] for row in red]
 
 
 def charpoly(mat):
@@ -271,25 +246,3 @@ def generalized_eigenspace(mat, eigval, multiplicity):
     for _ in range(multiplicity - 1):
         power = mat_mul(power, shifted)
     return kernel(power)
-
-
-def solve_sylvester(a, b, c):
-    """X with a X - X b = c (spectra of a and b must be disjoint)."""
-    na, nb = len(a), len(b)
-    ctx = c[0][0].ctx
-    # unknowns X[i][j] flattened row-major
-    rows = []
-    rhs = []
-    for i in range(na):
-        for j in range(nb):
-            row = [ctx.zero] * (na * nb)
-            for t in range(na):
-                row[t * nb + j] = row[t * nb + j] + a[i][t]
-            for t in range(nb):
-                row[i * nb + t] = row[i * nb + t] - b[t][j]
-            rows.append(row)
-            rhs.append(c[i][j])
-    x = solve(rows, rhs)
-    if x is None:
-        raise InputError("Sylvester system not solvable (overlapping spectra?)")
-    return [[x[i * nb + j] for j in range(nb)] for i in range(na)]

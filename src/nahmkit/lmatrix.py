@@ -49,22 +49,6 @@ class LaurentMatrix:
         return cls(ctx, [[z for _ in range(cols)] for _ in range(rows)])
 
     @classmethod
-    def from_scalars(cls, ctx, scalars):
-        return cls(
-            ctx,
-            [[TruncatedLaurent.from_scalar(c) for c in row] for row in scalars],
-        )
-
-    @classmethod
-    def diagonal(cls, ctx, series_list):
-        n = len(series_list)
-        z = TruncatedLaurent.zero(ctx)
-        return cls(
-            ctx,
-            [[series_list[i] if i == j else z for j in range(n)] for i in range(n)],
-        )
-
-    @classmethod
     def block_diagonal(cls, ctx, blocks):
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
@@ -80,9 +64,6 @@ class LaurentMatrix:
         return cls(ctx, out)
 
     # -- simple views --
-
-    def entry(self, i, j):
-        return self.entries[i][j]
 
     def precision(self):
         return min((e.eff_prec() for row in self.entries for e in row), default=math.inf)
@@ -107,9 +88,6 @@ class LaurentMatrix:
 
     def substitute_power(self, p):
         return self.map_entries(lambda e: e.substitute_power(p))
-
-    def galois_twist(self, t):
-        return self.map_entries(lambda e: e.galois_twist(t))
 
     def truncate(self, prec):
         return self.map_entries(lambda e: e.truncate(prec))
@@ -354,10 +332,6 @@ def _saturate(ctx, vec):
         return vec
     v = min(vals)
     return [e.shift(-v) for e in vec]
-
-
-def matrix_rank(m):
-    return column_echelon(m)[0]
 
 
 def charpoly(m):

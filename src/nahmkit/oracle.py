@@ -5,8 +5,10 @@ Two independent routes to every local rank:
 * truncated_cokernel builds the honest truncated matrix of theta + w dzeta
   from C0-lattice coordinates to C1-lattice coordinates over the session
   field (w symbolic for generic fibers) and computes exact kernel/cokernel
-  dimensions of that explicit matrix, certifying by stability under
-  N -> N + 4;
+  dimensions of that explicit matrix (linalg.rref where the triangular
+  certificate does not apply), certifying by stability under N -> N + 4.
+  The kernel of the map over the series field does not depend on N, so it
+  is computed once per call, before either truncation is built;
 
 * degree_crosscheck recomputes the lattice index through Smith normal form
   of the map written in the lattice frames (sum of invariant exponents
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, PrecisionExhausted
 from .higgs import HiggsGerm, realize
+from .linalg import rref
 from .lmatrix import (
     LaurentMatrix,
     determinant,
@@ -40,7 +43,6 @@ class TruncationModel:
     domain_dim: int
     codomain_dim: int
     matrix: list  # sparse rows: list of dict {col: Scalar}
-    module_kernel: int  # rank of the kernel over the series field
 
 
 def _map_matrix(ctx, germ, w):
@@ -57,10 +59,7 @@ def _map_matrix(ctx, germ, w):
 def build_truncation_model(complex_, w, N):
     """Assemble the truncated coordinate matrix of the complex at twist w."""
     ctx = complex_.germ.ctx
-    rows_index = {}
-    cols_index = {}
     entries = []
-    module_kernel = 0
     col_off = row_off = 0
     for part in complex_.parts:
         germ1 = HiggsGerm.from_blocks(ctx, [part.block])
@@ -69,8 +68,6 @@ def build_truncation_model(complex_, w, N):
         # realized weights match part.down_weights (both sorted descending)
         if tuple(g.lattice.weights) != part.down_weights:
             raise InputError("complex lattice data out of sync with realization")
-        kb, _cert = kernel_basis(M)
-        module_kernel += len(kb)
         # validate lattice preservation: no image exponent below the C1 floor
         for i in range(r):
             for j in range(r):
@@ -113,7 +110,6 @@ def build_truncation_model(complex_, w, N):
         N=N, domain_dim=col_off, codomain_dim=row_off,
         matrix=[{c: v for c, v in matrix.get(rr, {}).items() if not v.is_zero()}
                 for rr in range(row_off)],
-        module_kernel=module_kernel,
     )
 
 
@@ -122,8 +118,7 @@ def _sparse_rank(model):
 
     Fast path: a triangular certificate -- if every column has a distinct
     lowest nonzero row and those pivots are nonzero scalars, the matrix has
-    full column rank.  Fallback: sparse Gaussian elimination over the
-    session field."""
+    full column rank.  Fallback: linalg.rref over the session field."""
     cols = {}
     for rr, row in enumerate(model.matrix):
         for cc, v in row.items():
@@ -139,41 +134,7 @@ def _sparse_rank(model):
         seen.add(rr)
     if triangular and len(cols) == model.domain_dim:
         return model.domain_dim
-    # eliminate
-    rows = [dict(r) for r in model.matrix]
-    rank = 0
-    used = set()
-    for cc in sorted(cols):
-        pivot = None
-        for rr, row in enumerate(rows):
-            if rr in used:
-                continue
-            v = row.get(cc)
-            if v is not None and not v.is_zero():
-                pivot = rr
-                break
-        if pivot is None:
-            continue
-        used.add(pivot)
-        rank += 1
-        pv = rows[pivot][cc].inverse()
-        prow = {c: v * pv for c, v in rows[pivot].items()}
-        for rr, row in enumerate(rows):
-            if rr == pivot or cc not in row:
-                continue
-            f = row.pop(cc)
-            if f.is_zero():
-                continue
-            for c, v in prow.items():
-                if c == cc:
-                    continue
-                nv = row.get(c, None)
-                nv = (-f) * v if nv is None else nv - f * v
-                if nv.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = nv
-    return rank
+    return len(rref(model.matrix)[1])
 
 
 def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
@@ -185,19 +146,21 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     certification means stability under N -> N + 4.
     """
     w, _L = twist
+    ctx = complex_.germ.ctx
+    module_kernel = 0
+    for part in complex_.parts:
+        _g, M = _map_matrix(ctx, HiggsGerm.from_blocks(ctx, [part.block]), w)
+        module_kernel += len(kernel_basis(M)[0])
+    if module_kernel:
+        # the module kernel does not depend on N: certified as it stands
+        return module_kernel, None, True
     out = []
     for n in (N, N + 4):
         model = build_truncation_model(complex_, w, n)
-        if model.module_kernel:
-            out.append((model.module_kernel, None))
-            continue
         rank = _sparse_rank(model)
-        ker = model.domain_dim - rank
-        coker = model.codomain_dim - rank
-        out.append((ker, coker))
-    certified = out[0] == out[1]
+        out.append((model.domain_dim - rank, model.codomain_dim - rank))
     ker, coker = out[0]
-    return ker, coker, certified
+    return ker, coker, out[0] == out[1]
 
 
 def oracle_rank(germ, w, N=DEFAULT_PRECISION):

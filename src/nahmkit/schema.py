@@ -263,8 +263,11 @@ def document_from_json(obj):
     kind = obj.get("kind")
     if kind not in ("higgs", "bundle"):
         raise InputError("document kind must be 'higgs' or 'bundle'")
+    precision = obj.get("precision")
+    if precision is not None and (type(precision) is not int or precision < 1):
+        raise InputError(f"precision must be null or an integer >= 1, got {precision!r}")
     data = data_from_json(ctx, kind, obj["payload"])
-    return {"ctx": ctx, "kind": kind, "data": data, "precision": obj.get("precision")}
+    return {"ctx": ctx, "kind": kind, "data": data, "precision": precision}
 
 
 def dumps(doc):

@@ -63,10 +63,6 @@ class TruncatedLaurent:
     def monomial(cls, ctx, coeff, exponent):
         return cls(ctx, exponent, (coeff,), exact=True)
 
-    @classmethod
-    def from_coeffs(cls, ctx, val, scalars, prec=None, exact=False):
-        return cls(ctx, val, scalars, prec=prec, exact=exact)
-
     # -- views --
 
     def eff_prec(self):
@@ -78,9 +74,6 @@ class TruncatedLaurent:
 
     def is_exact_zero(self):
         return self.exact and not self.coeffs
-
-    def known_nonzero(self):
-        return bool(self.coeffs)
 
     def valuation(self):
         """Valuation; None for a zero-to-precision series, inf for exact zero."""

@@ -1,0 +1,150 @@
+"""The one Gaussian elimination over the session field, against sympy.
+
+linalg.rref serves rank, kernel and solve, and the oracle's rank of a
+truncated model once the triangular certificate fails; each is compared
+with sympy's exact rational linear algebra on seeded random matrices.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from nahmkit import linalg, oracle  # noqa: E402
+from nahmkit.field import FieldContext  # noqa: E402
+from nahmkit.higgs import ElementaryBlock, HiggsGerm  # noqa: E402
+from nahmkit.localnahm import build_local_complex  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return FieldContext(M=12, symbols=("a", "w"))
+
+
+def _random_fractions(rng, rows, cols, kind):
+    def entry():
+        return F(rng.randint(-9, 9), rng.randint(1, 5))
+
+    if kind == "deficient":
+        # a product through an inner dimension below min(rows, cols)
+        inner = rng.randint(0, max(0, min(rows, cols) - 1))
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        return [[sum((left[i][t] * right[t][j] for t in range(inner)), F(0))
+                 for j in range(cols)] for i in range(rows)]
+    out = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "sparse":
+        out = [[x if rng.random() < 0.3 else F(0) for x in row] for row in out]
+    elif kind == "zero-row":
+        out[rng.randrange(rows)] = [F(0)] * cols
+    return out
+
+
+KINDS = ("dense", "sparse", "deficient", "zero-row")
+
+
+def _cases(seed, square=False):
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows = rng.randint(1, 6)
+        cols = rows if square else rng.randint(1, 6)
+        kind = rng.choice(KINDS)
+        yield kind, _random_fractions(rng, rows, cols, kind)
+
+
+def _scalars(ctx, fracs):
+    return [[ctx.rational(x) for x in row] for row in fracs]
+
+
+def _fracs(vec):
+    return [x.as_fraction() for x in vec]
+
+
+def _sympy(fracs):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in fracs])
+
+
+def _apply(fracs, vec):
+    return [sum((a * b for a, b in zip(row, vec)), F(0)) for row in fracs]
+
+
+def test_rank_matches_sympy(ctx):
+    for kind, fr in _cases(1):
+        assert linalg.rank(_scalars(ctx, fr)) == _sympy(fr).rank(), kind
+
+
+def test_kernel_has_nullity_and_is_killed(ctx):
+    for kind, fr in _cases(2):
+        basis = linalg.kernel(_scalars(ctx, fr))
+        assert len(basis) == len(fr[0]) - _sympy(fr).rank(), kind
+        for v in basis:
+            assert _apply(fr, _fracs(v)) == [0] * len(fr), kind
+
+
+def _sympy_solution(fr, rhs):
+    """sympy's particular solution (free parameters at 0), or None."""
+    try:
+        sol, params = _sympy(fr).gauss_jordan_solve(_sympy([[b] for b in rhs]))
+    except ValueError:
+        return None
+    sol = sol.subs({p: 0 for p in params})
+    return [F(int(x.p), int(x.q)) for x in sol]
+
+
+def test_solve_matches_sympy(ctx):
+    rng = random.Random(3)
+    consistent = inconsistent = 0
+    for kind, fr in _cases(4):
+        cols = len(fr[0])
+        if rng.random() < 0.5:
+            rhs = _apply(fr, [F(rng.randint(-5, 5)) for _ in range(cols)])
+        else:
+            rhs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in fr]
+        x = linalg.solve(_scalars(ctx, fr), [ctx.rational(b) for b in rhs])
+        expected = _sympy_solution(fr, rhs)
+        if expected is None:
+            assert x is None, kind
+            inconsistent += 1
+        else:
+            assert x is not None and _fracs(x) == expected, kind
+            assert _apply(fr, _fracs(x)) == rhs, kind
+            consistent += 1
+    assert consistent and inconsistent
+
+
+def test_rank_deficiency_is_singularity(ctx):
+    for kind, fr in _cases(5, square=True):
+        singular = linalg.rank(_scalars(ctx, fr)) < len(fr)
+        assert singular == (_sympy(fr).det() == 0), kind
+
+
+def test_rref_leaves_rows_and_zero_rows(ctx):
+    rows = [{0: ctx.rational(2), 2: ctx.rational(4)}, {}, {0: ctx.one, 2: ctx.rational(2)},
+            {1: ctx.rational(3)}]
+    before = [dict(r) for r in rows]
+    red, pivots = linalg.rref(rows)
+    assert rows == before
+    assert pivots == [0, 1]
+    assert red == [{0: ctx.one, 2: ctx.rational(2)}, {1: ctx.one}]
+
+
+def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
+    b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.rational(2), weights=(F(-1, 4),))
+    complex_ = build_local_complex(HiggsGerm.from_blocks(ctx, [b]))
+    model = oracle.build_truncation_model(complex_, ctx.rational(F(1, 2)), 8)
+    assert (model.codomain_dim, model.domain_dim) == (19, 16)
+    eliminations = []
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return linalg.rref(rows)
+
+    monkeypatch.setattr(oracle, "rref", counted)
+    rank = oracle._sparse_rank(model)
+    assert eliminations == [19]  # the certificate failed; rref decided
+    dense = [[model.matrix[i].get(j, ctx.zero).as_fraction()
+              for j in range(model.domain_dim)] for i in range(model.codomain_dim)]
+    assert rank == model.domain_dim - len(_sympy(dense).nullspace())

@@ -1,0 +1,50 @@
+"""Every function and method of nahmkit is referenced somewhere.
+
+A definition counts as referenced when its name occurs, anywhere in the
+Python files of src/, tests/ or perfbench/, as a name, an attribute, an
+import alias or a word of a string constant (the benchmark's tracer names
+the functions it wraps by string).  Dunder methods are exempt.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "nahmkit"
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _definitions():
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.setdefault(name, f"{path.name}:{node.lineno}")
+    return out
+
+
+def _references():
+    names = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                    if node.asname:
+                        names.add(node.asname)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_function_is_referenced():
+    refs = _references()
+    dead = {name: where for name, where in _definitions().items() if name not in refs}
+    assert not dead, f"functions nothing references: {dead}"

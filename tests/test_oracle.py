@@ -82,7 +82,7 @@ def test_model_shape(ctx):
     model = build_truncation_model(c, ctx.sym("w"), 8)
     # the (N) x (N+1)-style rectangle: one extra codomain coordinate
     assert model.codomain_dim == model.domain_dim + 1
-    assert model.module_kernel == 0
+    assert truncated_cokernel(c, (ctx.sym("w"), None), 8)[0] == 0
 
 
 def test_degree_crosscheck_randomized(ctx):

@@ -191,6 +191,42 @@ def test_cli_precision_env(doc_path, capsys, monkeypatch):
     assert out["precision"] == 16
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("doc_precision, argv, env, code", [
+    (0, [], None, 2),
+    (-2, [], None, 2),
+    ("abc", [], None, 2),
+    (None, ["--precision", "-3"], None, 2),
+    (None, [], "-1", 2),
+    (None, [], "abc", 2),
+    (None, ["--precision", "0"], None, 2),
+    (None, [], None, 0),
+    (_ABSENT, [], None, 0),
+])
+@pytest.mark.parametrize("command", ["oracle", "roundtrip"])
+def test_cli_precision_must_be_positive(tmp_path, capsys, monkeypatch,
+                                        doc_precision, argv, env, code, command):
+    obj = schema.document_to_json(generate_examples("pushforward-2-1"))
+    if doc_precision is _ABSENT:
+        del obj["precision"]
+    else:
+        obj["precision"] = doc_precision
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    if env is None:
+        monkeypatch.delenv("NAHMKIT_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("NAHMKIT_PRECISION", env)
+    assert cli_run(argv + ["--format", "json", command, str(path)]) == code
+    out = capsys.readouterr().out
+    if code == 0 and command == "oracle":
+        assert json.loads(out)["precision"] == 24
+    if code == 2:
+        assert not out
+
+
 def test_complex_lattice_views():
     from nahmkit.localnahm import build_local_complex
     from nahmkit.higgs import ElementaryBlock, HiggsGerm
