@@ -25,13 +25,7 @@ from .errors import (
     VerdictFailure,
 )
 from . import schema
-from .elliptic import (
-    AdmissibleHiggsData,
-    a0_check,
-    a1a2_check,
-    a3_check,
-    good_check,
-)
+from .elliptic import AdmissibleHiggsData
 from .examples import catalog_names, generate_examples
 from .higgs import admissibility_check
 from .localnahm import build_local_complex

@@ -9,6 +9,13 @@ extended by k independent transcendentals as a rational function field.
 Scalars are stored in a canonical normalized form (reduced fraction, sorted
 monomials, monic denominator), so equality is structural and decidable.
 
+A coefficient in Q(zeta_N) is one flat int tuple (c_0, ..., c_{phi-1}, d):
+integer power-basis coordinates over one positive common denominator, with
+gcd(c_0, ..., c_{phi-1}, d) = 1 (the representation of Cohen, A Course in
+Computational Algebraic Number Theory, 4.2, and of FLINT's nf_elem).
+Products reduce through an integer table of the powers of zeta.  Each order
+N has one shared, immutable CyclotomicField.
+
 Arithmetic never enlarges M: asking for a root of unity whose order does not
 divide N raises FieldExtensionRequired instead of extending the field.
 """
@@ -16,7 +23,7 @@ divide N raises FieldExtensionRequired instead of extending the field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .errors import FieldExtensionRequired, InputError
 
@@ -53,43 +60,65 @@ def cyclotomic_polynomial(n):
 
 
 class CyclotomicField:
-    """Q(zeta_N) with exact tuple-of-Fraction elements."""
+    """Q(zeta_N); an element is the int tuple (c_0, ..., c_{phi-1}, d) for
+    (c_0 + c_1 zeta + ... + c_{phi-1} zeta^(phi-1)) / d, with d > 0 and
+    gcd(c_0, ..., c_{phi-1}, d) = 1, so equal values have equal tuples."""
 
     def __init__(self, order):
         self.order = order
-        phi_coeffs = cyclotomic_polynomial(order)
-        self.degree = len(phi_coeffs) - 1
-        self.phi_coeffs = tuple(Fraction(c) for c in phi_coeffs)
-        self.zero = (Fraction(0),) * self.degree
-        self.one = tuple(
-            Fraction(1 if i == 0 else 0) for i in range(self.degree)
-        )
-        # zeta^j in the power basis, for j up to 2*degree (products of basis
-        # elements never reach further).
+        self.phi_coeffs = tuple(cyclotomic_polynomial(order))
+        deg = self.degree = len(self.phi_coeffs) - 1
+        self.zero = (0,) * deg + (1,)
+        self.one = (1,) + (0,) * (deg - 1) + (1,)
+        # zeta^j in the power basis, as int rows (Phi_N is monic), for j up
+        # to 2*degree (products of basis elements never reach further).
         table = []
-        cur = list(self.one)
-        for _ in range(2 * self.degree + 1):
+        cur = [1] + [0] * (deg - 1)
+        for _ in range(2 * deg + 1):
             table.append(tuple(cur))
-            nxt = [Fraction(0)] + cur[:-1]
             top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
-                for i in range(self.degree):
-                    nxt[i] -= top * self.phi_coeffs[i]
-            cur = nxt
-        self.power_table = table
+                for i in range(deg):
+                    cur[i] -= top * self.phi_coeffs[i]
+        self.power_table = tuple(table)
+        # the nonzero (t, r) pairs of each row: zeta^j = sum of r zeta^t
+        self._reduce = tuple(
+            tuple((t, r) for t, r in enumerate(row) if r) for row in table
+        )
+
+    def _canon(self, acc, d):
+        """The element acc/d (acc a list of ints, d > 0) in lowest terms."""
+        g = gcd(*acc, d)
+        if g != 1:
+            acc = [c // g for c in acc]
+            d //= g
+        acc.append(d)
+        return tuple(acc)
+
+    def coords(self, a):
+        """The power-basis coordinates of a, as Fractions."""
+        d = a[-1]
+        return tuple(Fraction(c, d) for c in a[:-1])
+
+    def from_coords(self, fracs):
+        """The element with the given rational power-basis coordinates."""
+        # with d the lcm of reduced denominators, the gcd is already 1
+        d = lcm(*(q.denominator for q in fracs))
+        return tuple(q.numerator * (d // q.denominator) for q in fracs) + (d,)
 
     def from_rational(self, q):
         q = Fraction(q)
-        return (q,) + (Fraction(0),) * (self.degree - 1)
+        return (q.numerator,) + (0,) * (self.degree - 1) + (q.denominator,)
 
     def root(self, j):
         """zeta_N^j."""
         j %= self.order
         if j <= 2 * self.degree:
-            return self.power_table[j]
+            return self.power_table[j] + (1,)
         # fold down by repeated squaring through mul
         out = self.one
-        base = self.power_table[1]
+        base = self.root(1)
         while j:
             if j & 1:
                 out = self.mul(out, base)
@@ -98,56 +127,60 @@ class CyclotomicField:
         return out
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        deg = self.degree
+        da, db = a[deg], b[deg]
+        if da == db:
+            acc = [x + y for x, y in zip(a[:deg], b)]
+        else:
+            acc = [x * db + y * da for x, y in zip(a[:deg], b)]
+            da *= db
+        return self._canon(acc, da)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[:-1]) + (a[-1],)
 
     def mul(self, a, b):
         deg = self.degree
-        acc = [Fraction(0)] * deg
-        table = self.power_table
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                red = table[i + j]
-                for t in range(deg):
-                    if red[t]:
-                        acc[t] += xy * red[t]
-        return tuple(acc)
+        red = self._reduce
+        acc = [0] * deg
+        bs = [(j, y) for j, y in enumerate(b[:deg]) if y]
+        for i in range(deg):
+            x = a[i]
+            if x:
+                for j, y in bs:
+                    xy = x * y
+                    for t, r in red[i + j]:
+                        acc[t] += xy * r
+        return self._canon(acc, a[deg] * b[deg])
 
     def is_zero(self, a):
-        return not any(a)
+        return a == self.zero
 
     def inv(self, a):
-        """Inverse via extended Euclid against Phi_N in Q[x]."""
-        if self.is_zero(a):
-            raise ZeroDivisionError("cyclotomic zero division")
-        # r0 = Phi, r1 = a; keep s-coefficients for r1 only.
-        r0 = list(self.phi_coeffs)
-        r1 = list(a)
+        """Inverse: a rational element swaps numerator and denominator; any
+        other goes through extended Euclid against Phi_N in Q[x]."""
+        deg = self.degree
+        if not any(a[1:deg]):
+            c, d = a[0], a[deg]
+            if not c:
+                raise ZeroDivisionError("cyclotomic zero division")
+            return (d if c > 0 else -d,) + (0,) * (deg - 1) + (abs(c),)
+        # r0 = Phi, r1 = d*a (the integer numerator); each r = s*a mod Phi.
+        r0 = [Fraction(c) for c in self.phi_coeffs]
+        r1 = [Fraction(c) for c in a[:deg]]
         s0 = [Fraction(0)]
-        s1 = [Fraction(1)]
+        s1 = [Fraction(a[deg])]
 
         def trim(p):
             while p and not p[-1]:
                 p.pop()
             return p
 
-        trim(r0), trim(r1)
-        while len(r1) > 1 or (len(r1) == 1 and False):
-            if len(r1) == 1:
-                break
-            if len(r0) < len(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
+        trim(r1)
+        while len(r1) > 1:  # len(r0) >= len(r1) holds throughout
             # r0 -= (lead ratio) x^(d0-d1) r1
             c = r0[-1] / r1[-1]
             k = len(r0) - len(r1)
@@ -162,16 +195,25 @@ class CyclotomicField:
         if not r1:
             raise ZeroDivisionError("element not invertible (shared factor)")
         c = r1[0]
-        out = [v / c for v in s1]
-        out = out[: self.degree] + [Fraction(0)] * max(0, self.degree - len(out))
+        out = [Fraction(0)] * deg
         # s1 may exceed the basis length before reduction; fold it.
-        if len(s1) > self.degree:
-            acc = self.zero
-            for j, v in enumerate(s1):
-                if v:
-                    acc = self.add(acc, tuple(x * (v / c) for x in self.power_table[j]))
-            return acc
-        return tuple(out)
+        for j, v in enumerate(s1):
+            if v:
+                for t, r in self._reduce[j]:
+                    out[t] += r * v / c
+        return self.from_coords(out)
+
+
+_FIELDS = {}
+
+
+def cyclotomic_field(order):
+    """The one CyclotomicField of this order; fields never change after
+    construction, so every session shares it."""
+    cf = _FIELDS.get(order)
+    if cf is None:
+        cf = _FIELDS[order] = CyclotomicField(order)
+    return cf
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +445,7 @@ class FieldContext:
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError("duplicate symbol names")
         self.nvars = len(self.symbols)
-        self.cyc = CyclotomicField(self.N)
+        self.cyc = cyclotomic_field(self.N)
         self._zero_mono = (0,) * self.nvars
         self.zero = self._scalar({}, {self._zero_mono: self.cyc.one})
         self.one = self.rational(1)
@@ -478,9 +520,9 @@ class Scalar:
         if set(self.num) != {zm} or set(self.den) != {zm}:
             return None
         cn, cd = self.num[zm], self.den[zm]
-        if any(cn[1:]) or any(cd[1:]):
+        if any(cn[1:-1]) or any(cd[1:-1]):
             return None
-        return cn[0] / cd[0]
+        return Fraction(cn[0] * cd[-1], cn[-1] * cd[0])
 
     # -- arithmetic --
 
@@ -495,18 +537,16 @@ class Scalar:
         other = self._check(other)
         cf = self.ctx.cyc
         num = p_add(
-            cf,
-            p_mul(cf, dict(self.num), dict(other.den)),
-            p_mul(cf, dict(other.num), dict(self.den)),
+            cf, p_mul(cf, self.num, other.den), p_mul(cf, other.num, self.den)
         )
-        den = p_mul(cf, dict(self.den), dict(other.den))
+        den = p_mul(cf, self.den, other.den)
         return Scalar(self.ctx, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         cf = self.ctx.cyc
-        return Scalar(self.ctx, p_neg(cf, dict(self.num)), dict(self.den))
+        return Scalar(self.ctx, p_neg(cf, self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -519,8 +559,8 @@ class Scalar:
         cf = self.ctx.cyc
         return Scalar(
             self.ctx,
-            p_mul(cf, dict(self.num), dict(other.num)),
-            p_mul(cf, dict(self.den), dict(other.den)),
+            p_mul(cf, self.num, other.num),
+            p_mul(cf, self.den, other.den),
         )
 
     __rmul__ = __mul__
@@ -532,8 +572,8 @@ class Scalar:
         cf = self.ctx.cyc
         return Scalar(
             self.ctx,
-            p_mul(cf, dict(self.num), dict(other.den)),
-            p_mul(cf, dict(self.den), dict(other.num)),
+            p_mul(cf, self.num, other.den),
+            p_mul(cf, self.den, other.num),
         )
 
     def __rtruediv__(self, other):
@@ -579,9 +619,11 @@ class Scalar:
     def sort_key(self):
         """Deterministic total-order key (for canonical tables only)."""
 
+        coords = self.ctx.cyc.coords
+
         def enc(p):
             return tuple(
-                (m, tuple((c.numerator, c.denominator) for c in v))
+                (m, tuple((c.numerator, c.denominator) for c in coords(v)))
                 for m, v in sorted(p.items())
             )
 
@@ -630,7 +672,7 @@ def _normalize(ctx, num, den):
 
 def _cyc_str(ctx, c):
     terms = []
-    for i, q in enumerate(c):
+    for i, q in enumerate(ctx.cyc.coords(c)):
         if not q:
             continue
         if i == 0:
@@ -674,12 +716,9 @@ def _cyc_sqrt(cf, c):
         z = cf.root(j)
         # c / zeta^(2j) rational?
         q = cf.mul(c, cf.inv(cf.root((2 * j) % cf.order)))
-        if not any(q[1:]):
-            val = q[0]
-            if val > 0:
-                from math import isqrt
-
-                n, d = val.numerator, val.denominator
+        if not any(q[1:-1]):
+            n, d = q[0], q[-1]
+            if n > 0:
                 rn, rd = isqrt(n), isqrt(d)
                 if rn * rn == n and rd * rd == d:
                     return cf.mul(cf.from_rational(Fraction(rn, rd)), z)
@@ -720,14 +759,14 @@ def _poly_sqrt(cf, p):
 def scalar_sqrt(x):
     """A square root of x in the session field, or None if none exists."""
     cf = x.ctx.cyc
-    rn = _poly_sqrt(cf, dict(x.num))
+    rn = _poly_sqrt(cf, x.num)
     if rn is None:
         return None
-    rd = _poly_sqrt(cf, dict(x.den))
+    rd = _poly_sqrt(cf, x.den)
     if rd is None:
         # try num*den / den^2
-        rn2 = _poly_sqrt(cf, p_mul(cf, dict(x.num), dict(x.den)))
+        rn2 = _poly_sqrt(cf, p_mul(cf, x.num, x.den))
         if rn2 is None:
             return None
-        return Scalar(x.ctx, rn2, dict(x.den))
+        return Scalar(x.ctx, rn2, x.den)
     return Scalar(x.ctx, rn, rd)

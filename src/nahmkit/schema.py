@@ -32,7 +32,13 @@ def rat_to_json(q):
 
 
 def rat_from_json(obj):
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
+    if (
+        not isinstance(obj, dict)
+        or set(obj) != {"num", "den"}
+        or type(obj["num"]) is not int
+        or type(obj["den"]) is not int
+        or obj["den"] == 0
+    ):
         raise InputError(f"not a rational: {obj!r}")
     return Fraction(obj["num"], obj["den"])
 
@@ -43,7 +49,7 @@ def rat_from_json(obj):
 def _poly_to_json(ctx, p):
     terms = []
     for mono, cyc in sorted(p.items()):
-        terms.append({"m": list(mono), "c": [rat_to_json(x) for x in cyc]})
+        terms.append({"m": list(mono), "c": [rat_to_json(x) for x in ctx.cyc.coords(cyc)]})
     return terms
 
 
@@ -53,10 +59,10 @@ def _poly_from_json(ctx, terms):
         mono = tuple(int(e) for e in t["m"])
         if len(mono) != ctx.nvars:
             raise InputError("monomial arity does not match the declared symbols")
-        cyc = tuple(rat_from_json(x) for x in t["c"])
-        if len(cyc) != ctx.cyc.degree:
+        coords = [rat_from_json(x) for x in t["c"]]
+        if len(coords) != ctx.cyc.degree:
             raise InputError("cyclotomic coordinate length mismatch")
-        out[mono] = cyc
+        out[mono] = ctx.cyc.from_coords(coords)
     return out
 
 
@@ -67,7 +73,11 @@ def scalar_to_json(s):
 def scalar_from_json(ctx, obj):
     from .field import Scalar
 
-    return Scalar(ctx, _poly_from_json(ctx, obj["num"]), _poly_from_json(ctx, obj["den"]))
+    num = _poly_from_json(ctx, obj["num"])
+    den = _poly_from_json(ctx, obj["den"])
+    if all(ctx.cyc.is_zero(c) for c in den.values()):
+        raise InputError("scalar with zero denominator")
+    return Scalar(ctx, num, den)
 
 
 # -- series and matrices --

@@ -186,12 +186,13 @@ def _rational_coeff_of(ctx, s, mono):
     zm = ctx._zero_mono
     if set(den) != {zm}:
         return None
-    dc = den[zm]
+    dc = ctx.cyc.coords(den[zm])
     if any(dc[1:]):
         return None
     c = s.num.get(mono)
     if c is None:
         return Fraction(0)
+    c = ctx.cyc.coords(c)
     if any(c[1:]):
         return None
     return c[0] / dc[0]

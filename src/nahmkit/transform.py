@@ -34,8 +34,6 @@ from .higgs import ElementaryBlock, HiggsGerm
 from .localnahm import (
     block_index,
     local_nahm_0_inf,
-    local_nahm_inf_0,
-    transform_block_0_inf,
     transform_block_inf_0,
 )
 

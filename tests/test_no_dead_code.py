@@ -4,6 +4,9 @@ A definition counts as referenced when its name occurs, anywhere in the
 Python files of src/, tests/ or perfbench/, as a name, an attribute, an
 import alias or a word of a string constant (the benchmark's tracer names
 the functions it wraps by string).  Dunder methods are exempt.
+
+Every name a module of nahmkit imports (apart from `__init__.py`, which
+re-exports, and `__future__` features) is used as a name in that module.
 """
 
 import ast
@@ -48,3 +51,25 @@ def test_every_function_is_referenced():
     refs = _references()
     dead = {name: where for name, where in _definitions().items() if name not in refs}
     assert not dead, f"functions nothing references: {dead}"
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {f"{path.name}:{line}:{name}" for name, line in imported.items() if name not in used}
+
+
+def test_every_import_is_used():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            unused |= _unused_imports(path)
+    assert not unused, f"imported names the module never uses: {sorted(unused)}"

@@ -227,6 +227,43 @@ def test_cli_precision_must_be_positive(tmp_path, capsys, monkeypatch,
         assert not out
 
 
+def _alpha(obj):
+    return obj["payload"]["germs"][0]["blocks"][0]["alpha"]
+
+
+def _bad_coordinate(rat):
+    def edit(obj):
+        _alpha(obj)["num"][0]["c"][0] = rat
+    return edit
+
+
+def _zero_denominator(obj):
+    for term in _alpha(obj)["den"]:
+        term["c"] = [{"num": 0, "den": 1} for _ in term["c"]]
+
+
+def _bad_weight(obj):
+    obj["payload"]["germs"][0]["blocks"][0]["weights"][0] = {"num": True, "den": 4}
+
+
+@pytest.mark.parametrize("edit", [
+    _bad_coordinate({"num": 1, "den": 0}),
+    _bad_coordinate({"num": "x", "den": 1}),
+    _bad_coordinate({"num": 1.5, "den": 2}),
+    _zero_denominator,
+    _bad_weight,
+], ids=["zero-den", "string-num", "float-num", "zero-scalar-den", "bool-weight"])
+def test_cli_malformed_rationals_exit_2(tmp_path, capsys, edit):
+    obj = schema.document_to_json(generate_examples("tame-rank1"))
+    edit(obj)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    assert cli_run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("InputError: ")
+
+
 def test_complex_lattice_views():
     from nahmkit.localnahm import build_local_complex
     from nahmkit.higgs import ElementaryBlock, HiggsGerm
