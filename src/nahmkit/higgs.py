@@ -451,63 +451,6 @@ def slope_check(germ, p, m):
 # ----------------------------------------------------------------------
 
 
-def _spoly_mul(ctx, a, b):
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _spoly_trim(a):
-    i = 0
-    while i < len(a) - 1 and a[i].is_zero():
-        i += 1
-    return a[i:]
-
-
-def _spoly_divmod(ctx, a, b):
-    """Descending-coefficient division over Scalar."""
-    a = list(a)
-    b = _spoly_trim(list(b))
-    if len(b) == 1 and b[0].is_zero():
-        raise ZeroDivisionError("scalar poly division by zero")
-    q = [ctx.zero] * max(1, len(a) - len(b) + 1)
-    inv = b[0].inverse()
-    for i in range(len(a) - len(b) + 1):
-        c = a[i] * inv
-        q[i] = c
-        if not c.is_zero():
-            for j, y in enumerate(b):
-                a[i + j] = a[i + j] - c * y
-    rem = _spoly_trim(a[len(a) - len(b) + 1:]) if len(a) >= len(b) else _spoly_trim(a)
-    return _spoly_trim(q), rem
-
-
-def _spoly_xgcd(ctx, a, b):
-    """(g, u, v) with u a + v b = g (monic) over the session field."""
-    r0, r1 = _spoly_trim(list(a)), _spoly_trim(list(b))
-    u0, u1 = [ctx.one], [ctx.zero]
-    v0, v1 = [ctx.zero], [ctx.one]
-    while not (len(r1) == 1 and r1[0].is_zero()):
-        q, r = _spoly_divmod(ctx, r0, r1)
-        r0, r1 = r1, r if r else [ctx.zero]
-        u0, u1 = u1, _spoly_sub(ctx, u0, _spoly_mul(ctx, q, u1))
-        v0, v1 = v1, _spoly_sub(ctx, v0, _spoly_mul(ctx, q, v1))
-    c = r0[0].inverse()
-    return ([x * c for x in r0], [x * c for x in u0], [x * c for x in v0])
-
-
-def _spoly_sub(ctx, a, b):
-    n = max(len(a), len(b))
-    a = [ctx.zero] * (n - len(a)) + list(a)
-    b = [ctx.zero] * (n - len(b)) + list(b)
-    return _spoly_trim([x - y for x, y in zip(a, b)])
-
-
 def hensel_split(ctx, coeffs, f0, g0, prec):
     """Lift the coprime mod-z factorization f0 * g0 of a polynomial with
     series coefficients (descending lists; coeffs[0] must be exactly 1 and
@@ -519,7 +462,7 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
     r1, r2 = len(f0) - 1, len(g0) - 1
     if r1 + r2 != r:
         raise InputError("factor degrees do not match")
-    g, u, v = _spoly_xgcd(ctx, f0, g0)
+    g, u, v = linalg.poly_xgcd(ctx, f0, g0)
     if len(g) != 1:
         raise FieldExtensionRequired("mod-z factors are not coprime")
 
@@ -535,17 +478,17 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
     for n in range(1, prec):
         acc = [ctx.zero] * (r + 1)
         for a in range(1, n):
-            prod = _spoly_mul(ctx, F[a], G[n - a])
+            prod = linalg.poly_mul(ctx, F[a], G[n - a])
             off = (r + 1) - len(prod)
             for i, x in enumerate(prod):
                 acc[off + i] = acc[off + i] + x
         target = c_at(n)
-        R = _spoly_trim([t - s for t, s in zip(target, acc)])
+        R = linalg.poly_trim([t - s for t, s in zip(target, acc)])
         # solve f0 * dG + g0 * dF = R with deg dG < r2, deg dF < r1
-        uR = _spoly_mul(ctx, u, R)
-        _, dG = _spoly_divmod(ctx, uR, g0)
-        num = _spoly_sub(ctx, R, _spoly_mul(ctx, f0, dG))
-        dF, rem = _spoly_divmod(ctx, num, g0)
+        uR = linalg.poly_mul(ctx, u, R)
+        _, dG = linalg.poly_divmod(ctx, uR, g0)
+        num = linalg.poly_sub(ctx, R, linalg.poly_mul(ctx, f0, dG))
+        dF, rem = linalg.poly_divmod(ctx, num, g0)
         if not (len(rem) == 1 and rem[0].is_zero()):
             raise PrecisionExhausted("Hensel correction not exact")
         F.append(_pad(ctx, dF, r1))
@@ -785,33 +728,20 @@ def _matrix_slope_decomposition(germ):
 
 
 def _newton_factor(ctx, cp, mu, mult):
-    """Factor the charpoly into (top-slope part of degree mult, rest)."""
-    r = len(cp) - 1
-    phat = mu.denominator
-    Mhat = mu.numerator * (1 if phat > 1 else 1)
-    # work on the phat-fold cover: z -> s^phat, T = s^{-Mhat} S
-    cs = [c.substitute_power(phat) for c in cp]
-    ctil = [c.shift(Mhat * i) for i, c in enumerate(cs)]
-    for c in ctil:
-        if c.coeffs and c.val < 0:
-            raise NotAdmissible("Newton normalization failed (slope not maximal)")
-    prec = min(int(c.eff_prec()) if c.eff_prec() != float("inf") else 10**6 for c in ctil)
-    prec = min(prec, max(8, DEFAULT_PRECISION * phat))
-    f0 = [ctil[i].coeff(0) for i in range(mult + 1)]
+    """Factor the charpoly into (top-slope part of degree mult, rest).
+
+    On the p-fold cover with T = s^{-m} S (mu = m/p) the polynomial becomes
+    integral; its mod-s part factors as f0 * S^(r - mult).
+    """
+    p, m = mu.denominator, mu.numerator
+    ctil = [c.substitute_power(p).shift(m * i) for i, c in enumerate(cp)]
+    if any(c.coeffs and c.val < 0 for c in ctil):
+        raise NotAdmissible("Newton normalization failed (slope not maximal)")
+    f0 = [c.coeff(0) for c in ctil[:mult + 1]]
     if f0[0].is_zero() or f0[-1].is_zero():
         raise NotAdmissible("top Newton segment is not separated")
-    g0 = [ctx.one] + [ctx.zero] * (r - mult)
-    Fs, Gs = hensel_split(ctx, ctil, f0, g0, prec)
-    # undo the substitutions; factors must descend to the base disc
-    def descend(coeff_list):
-        out = []
-        for i, c in enumerate(coeff_list):
-            c2 = c.shift(-Mhat * i)
-            down = _descend_series(ctx, c2, phat)
-            out.append(down)
-        return out
-
-    return descend(Fs), descend(Gs)
+    g0 = [ctx.one] + [ctx.zero] * (len(cp) - 1 - mult)
+    return _graded_hensel(ctx, cp, p, m, f0, g0)
 
 
 def _descend_series(ctx, c, phat):
@@ -865,7 +795,7 @@ def _phi_poly(ctx, cp, p, m):
 def _power_factor(ctx, base, mult):
     out = [ctx.one]
     for _ in range(mult):
-        out = _spoly_mul(ctx, out, base)
+        out = linalg.poly_mul(ctx, out, base)
     return out
 
 
@@ -957,11 +887,11 @@ def type_decomposition(germ, cert=None):
     rest = g
     while len(groups) > 1:
         label, f0 = groups[0]
-        phi_rest = _phi_poly(ctx, charpoly(realize(rest).theta), p, m)
-        g0, rem = _spoly_divmod(ctx, phi_rest, f0)
+        cp_rest = charpoly(realize(rest).theta)
+        g0, rem = linalg.poly_divmod(ctx, _phi_poly(ctx, cp_rest, p, m), f0)
         if not (len(rem) == 1 and rem[0].is_zero()):
             raise NotAdmissible("orbit factor does not divide the leading form")
-        F, G = _graded_hensel(ctx, charpoly(realize(rest).theta), p, m, f0, g0)
+        F, G = _graded_hensel(ctx, cp_rest, p, m, f0, g0)
         part, rest = _split_by_factors(rest, [F, G])
         out.append((part, (p, m, label)))
         groups = groups[1:]

@@ -1,10 +1,16 @@
-"""Exact linear algebra over the session field (Scalar matrices).
+"""Exact linear algebra over the session field, and univariate polynomials.
 
 Matrices are plain lists of lists of Scalars.  One sparse Gauss-Jordan
 elimination, rref, serves rank, kernel and solve (which hand it their dense
 rows as dicts of nonzero entries) and the oracle's truncated models (whose
 rows are sparse already).  The reduced row echelon form is unique, so every
 caller sees the same answer whatever order the elimination takes.
+
+charpoly is Berkowitz's division-free algorithm; given the unit of the
+entries' ring it serves Scalar matrices and series matrices (lmatrix) alike.
+The last section is the one toolkit of univariate polynomials over Scalar:
+products, division with remainder, extended gcd, evaluation, deflation and
+roots over the session field.
 """
 
 from __future__ import annotations
@@ -31,10 +37,6 @@ def mat_mul(a, b):
             row.append(s if s is not None else a[0][0].ctx.zero)
         out.append(row)
     return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def rref(rows):
@@ -124,32 +126,110 @@ def solve(mat, rhs):
     return x
 
 
-def charpoly(mat):
-    """Characteristic polynomial det(T I - mat) by Faddeev-LeVerrier.
+def charpoly(mat, one):
+    """Characteristic polynomial det(T I - mat) by Berkowitz's algorithm.
 
-    Returns coefficients [1, c1, ..., cn] with c_k the coefficient of
-    T^(n-k).
+    Division-free: it takes only sums, differences and products of the
+    entries, so it serves Scalar and series entries alike (one is the unit of
+    their ring), and series arithmetic tracks the precision.  Returns
+    coefficients [1, c1, ..., cn] with c_k the coefficient of T^(n-k).
+
+    Step k passes from the charpoly of the leading k x k block A to that of
+    the leading (k+1) x (k+1) block: with C the first k entries of column k,
+    R the first k entries of row k and a = mat[k][k], the new coefficients
+    are the lower-triangular Toeplitz matrix of (1, -a, -R C, -R A C, ...,
+    -R A^(k-1) C) times the old ones.  s holds that column without its
+    leading 1 and negated.
     """
-    n = len(mat)
-    ctx = mat[0][0].ctx
-    coeffs = [ctx.one]
-    M = None
-    for k in range(1, n + 1):
-        M = mat if M is None else mat_mul(mat, mat_add(M, _diag_const(ctx, n, coeffs[-1])))
-        tr = M[0][0]
-        for i in range(1, n):
-            tr = tr + M[i][i]
-        coeffs.append(-(tr / k))
+    coeffs = [one, -mat[0][0]]
+    for k in range(1, len(mat)):
+        row = mat[k][:k]
+        col = [mat[i][k] for i in range(k)]
+        s = [mat[k][k], _dot(row, col)]
+        for _ in range(k - 1):
+            col = [_dot(mat[i][:k], col) for i in range(k)]
+            s.append(_dot(row, col))
+        new = [one]
+        for i in range(1, k + 2):
+            # sum of s[d - 1] * coeffs[i - d] over d = 1..i; coeffs[0] is one
+            acc = s[i - 1]
+            if i > 1:
+                acc = acc + _dot(s[:i - 1], coeffs[i - 1:0:-1])
+            new.append(coeffs[i] - acc if i <= k else -acc)
+        coeffs = new
     return coeffs
 
 
-def _diag_const(ctx, n, c):
-    return [[c if i == j else ctx.zero for j in range(n)] for i in range(n)]
+def _dot(xs, ys):
+    pairs = zip(xs, ys)
+    x, y = next(pairs)
+    acc = x * y
+    for x, y in pairs:
+        acc = acc + x * y
+    return acc
 
 
 # ----------------------------------------------------------------------
 # univariate polynomials over Scalar (descending-power coefficient lists)
 # ----------------------------------------------------------------------
+
+
+def poly_mul(ctx, a, b):
+    out = [ctx.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_trim(a):
+    i = 0
+    while i < len(a) - 1 and a[i].is_zero():
+        i += 1
+    return a[i:]
+
+
+def poly_divmod(ctx, a, b):
+    """Descending-coefficient division over Scalar."""
+    a = list(a)
+    b = poly_trim(list(b))
+    if len(b) == 1 and b[0].is_zero():
+        raise ZeroDivisionError("scalar poly division by zero")
+    q = [ctx.zero] * max(1, len(a) - len(b) + 1)
+    inv = b[0].inverse()
+    for i in range(len(a) - len(b) + 1):
+        c = a[i] * inv
+        q[i] = c
+        if not c.is_zero():
+            for j, y in enumerate(b):
+                a[i + j] = a[i + j] - c * y
+    # the zero remainder is [0], as every zero polynomial here
+    rem = a[len(a) - len(b) + 1:] if len(a) >= len(b) else a
+    return poly_trim(q), poly_trim(rem or [ctx.zero])
+
+
+def poly_xgcd(ctx, a, b):
+    """(g, u, v) with u a + v b = g (monic) over the session field."""
+    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
+    u0, u1 = [ctx.one], [ctx.zero]
+    v0, v1 = [ctx.zero], [ctx.one]
+    while not (len(r1) == 1 and r1[0].is_zero()):
+        q, r = poly_divmod(ctx, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, poly_sub(ctx, u0, poly_mul(ctx, q, u1))
+        v0, v1 = v1, poly_sub(ctx, v0, poly_mul(ctx, q, v1))
+    c = r0[0].inverse()
+    return ([x * c for x in r0], [x * c for x in u0], [x * c for x in v0])
+
+
+def poly_sub(ctx, a, b):
+    n = max(len(a), len(b))
+    a = [ctx.zero] * (n - len(a)) + list(a)
+    b = [ctx.zero] * (n - len(b)) + list(b)
+    return poly_trim([x - y for x, y in zip(a, b)])
 
 
 def poly_eval(coeffs, x):
@@ -171,9 +251,10 @@ def poly_deflate(coeffs, root):
 def scalar_poly_roots(ctx, coeffs, candidates=()):
     """All roots (with multiplicity) of a monic Scalar polynomial, or raise.
 
-    Deflates verified candidate roots, then handles a quadratic remainder
-    through a perfect-square discriminant.  Raises FieldExtensionRequired
-    when the polynomial does not split over the session field.
+    Deflates verified candidate roots, then takes a linear remainder directly
+    and a quadratic one through a perfect-square discriminant.  Raises
+    FieldExtensionRequired when the polynomial does not split over the
+    session field.
     """
     deg = len(coeffs) - 1
     cand = [ctx.zero]
@@ -200,7 +281,10 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
                 roots.append(c)
                 cur = poly_deflate(cur, c)
                 progress = True
-        if len(cur) == 3 and not progress:
+        if len(cur) == 2:
+            roots.append(-(cur[1] / cur[0]))
+            cur = cur[:1]
+        elif len(cur) == 3 and not progress:
             b, c0 = cur[1], cur[2]
             disc = b * b - 4 * c0
             s = scalar_sqrt(disc)
@@ -232,7 +316,7 @@ def eigenvalues_in_field(mat, candidates=()):
     """
     n = len(mat)
     ctx = mat[0][0].ctx
-    cp = charpoly(mat)
+    cp = charpoly(mat, ctx.one)
     cand = list(candidates) + [mat[i][i] for i in range(n)]
     return scalar_poly_roots(ctx, cp, candidates=cand)
 

@@ -2,8 +2,10 @@
 
 Provides the exact kernels every higher layer leans on: arithmetic,
 inversion and determinants over the series field, Smith normal form over the
-power-series ring (invariant factors are powers of z), characteristic
-polynomials, column echelon / kernels, and Newton polygons.
+power-series ring (invariant factors are powers of z), column echelon /
+kernels, and Newton polygons.  Characteristic polynomials come from
+linalg.charpoly, the one division-free (Berkowitz) routine, which serves
+series entries as it serves Scalar ones.
 
 Certification discipline: a pivot that is zero to the working precision but
 not exactly zero can never be used silently; such situations raise
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import linalg
 from .errors import InputError, PrecisionExhausted
 from .series import TruncatedLaurent
 
@@ -336,21 +339,7 @@ def _saturate(ctx, vec):
 
 def charpoly(m):
     """det(T I - m) as descending coefficient list [1, c1, ..., cr]."""
-    n = m.rows
-    ctx = m.ctx
-    coeffs = [TruncatedLaurent.from_scalar(ctx.one)]
-    Mk = None
-    for k in range(1, n + 1):
-        if Mk is None:
-            Mk = m
-        else:
-            shifted = Mk + LaurentMatrix.identity(ctx, n).scale(coeffs[-1])
-            Mk = m * shifted
-        tr = Mk.entries[0][0]
-        for i in range(1, n):
-            tr = tr + Mk.entries[i][i]
-        coeffs.append(tr * ctx.rational(Fraction(-1, k)))
-    return coeffs
+    return linalg.charpoly(m.entries, TruncatedLaurent.from_scalar(m.ctx.one))
 
 
 # ----------------------------------------------------------------------

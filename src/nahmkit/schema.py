@@ -23,6 +23,13 @@ from .elliptic import AdmissibleHiggsData, FilteredBundleData, SingularPoint
 SCHEMA_VERSION = 1
 
 
+def _int(x, what):
+    """A JSON integer; bool, float and str are not integers."""
+    if type(x) is not int:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 # -- rationals --
 
 
@@ -56,7 +63,7 @@ def _poly_to_json(ctx, p):
 def _poly_from_json(ctx, terms):
     out = {}
     for t in terms:
-        mono = tuple(int(e) for e in t["m"])
+        mono = tuple(_int(e, "monomial exponent") for e in t["m"])
         if len(mono) != ctx.nvars:
             raise InputError("monomial arity does not match the declared symbols")
         coords = [rat_from_json(x) for x in t["c"]]
@@ -95,9 +102,9 @@ def series_to_json(s):
 def series_from_json(ctx, obj):
     return TruncatedLaurent(
         ctx,
-        int(obj["val"]),
+        _int(obj["val"], "series valuation"),
         [scalar_from_json(ctx, c) for c in obj["coeffs"]],
-        prec=obj.get("prec"),
+        prec=None if obj.get("prec") is None else _int(obj["prec"], "series precision"),
         exact=bool(obj.get("exact", False)),
     )
 
@@ -182,7 +189,7 @@ def block_to_json(b):
 
 
 def block_from_json(ctx, obj, degrees=None):
-    p, m = int(obj["p"]), int(obj["m"])
+    p, m = _int(obj["p"], "block p"), _int(obj["m"], "block m")
     lead = radicand = None
     tail = ()
     ac = obj.get("a_coeffs")
@@ -200,13 +207,15 @@ def block_from_json(ctx, obj, degrees=None):
     )
     inj = obj.get("injection")
     injection = None if inj is None else block_from_json(ctx, inj)
-    if degrees is None:
-        degrees = obj.get("degrees", [0] * len(obj["weights"]))
+    # the block's own degrees are read (so checked) even when the document's
+    # base_degrees override them
+    own = [_int(d, "block degree") for d in obj.get("degrees", [0] * len(obj["weights"]))]
+    degrees = own if degrees is None else [_int(d, "block degree") for d in degrees]
     return ElementaryBlock.make(
         ctx, p, m,
         alpha=scalar_from_json(ctx, obj["alpha"]),
         weights=tuple(rat_from_json(w) for w in obj["weights"]),
-        degrees=tuple(int(d) for d in degrees),
+        degrees=tuple(degrees),
         lead=lead, radicand=radicand, tail=tail,
         nilp=nilp if nilp else (), twists=twists if any(t is not None for t in twists) else (),
         injection=injection,
@@ -235,11 +244,14 @@ def data_to_json(data):
 def data_from_json(ctx, kind, obj):
     cls = AdmissibleHiggsData if kind == "higgs" else FilteredBundleData
     coord = "finite" if kind == "higgs" else "infinity"
-    lifts = obj.get("lifts") or obj["spectrum"]
+    # the spectrum is read (so checked) even when the lifts give the points
+    spectrum = [point_from_json(ctx, p) for p in obj.get("spectrum", ())]
+    lifts = [point_from_json(ctx, p) for p in obj.get("lifts") or ()] or spectrum
+    if len(lifts) != len(obj["germs"]):
+        raise InputError("a document needs one germ per point")
     degrees = obj["base_degrees"]
     points = []
-    for i, (pt_json, germ_json) in enumerate(zip(lifts, obj["germs"])):
-        pt = point_from_json(ctx, pt_json)
+    for i, (pt, germ_json) in enumerate(zip(lifts, obj["germs"])):
         blocks = [
             block_from_json(ctx, bjson, degrees[i][j])
             for j, bjson in enumerate(germ_json["blocks"])
@@ -266,10 +278,13 @@ def document_to_json(doc):
 def document_from_json(obj):
     if not isinstance(obj, dict) or "payload" not in obj:
         raise InputError("not a nahmkit document (missing payload)")
+    if _int(obj.get("schema", SCHEMA_VERSION), "schema version") != SCHEMA_VERSION:
+        raise InputError(f"unsupported schema version {obj['schema']!r}")
     fdecl = obj.get("field", {})
-    ctx = FieldContext(
-        M=int(fdecl.get("M", 12)), symbols=tuple(fdecl.get("symbols", ("x1",)))
-    )
+    symbols = fdecl.get("symbols", ["x1"])
+    if not isinstance(symbols, list) or not all(isinstance(x, str) for x in symbols):
+        raise InputError(f"field symbols must be a list of names, got {symbols!r}")
+    ctx = FieldContext(M=_int(fdecl.get("M", 12), "field M"), symbols=tuple(symbols))
     kind = obj.get("kind")
     if kind not in ("higgs", "bundle"):
         raise InputError("document kind must be 'higgs' or 'bundle'")
@@ -289,4 +304,9 @@ def loads(text):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
-    return document_from_json(obj)
+    try:
+        return document_from_json(obj)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # a field of the wrong shape: a missing key, a number where a list
+        # belongs, and so on
+        raise InputError(f"malformed document: {type(exc).__name__}: {exc}") from exc

@@ -1,8 +1,10 @@
-"""The one Gaussian elimination over the session field, against sympy.
+"""The one Gaussian elimination, the one charpoly and the polynomial
+toolkit over the session field, against sympy.
 
 linalg.rref serves rank, kernel and solve, and the oracle's rank of a
 truncated model once the triangular certificate fails; each is compared
-with sympy's exact rational linear algebra on seeded random matrices.
+with sympy's exact rational linear algebra on seeded random matrices, and
+so are linalg.charpoly, poly_divmod and poly_xgcd.
 """
 
 import random
@@ -148,3 +150,81 @@ def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
     dense = [[model.matrix[i].get(j, ctx.zero).as_fraction()
               for j in range(model.domain_dim)] for i in range(model.codomain_dim)]
     assert rank == model.domain_dim - len(_sympy(dense).nullspace())
+
+
+def test_charpoly_matches_sympy(ctx):
+    seen = set()
+    for kind, fr in _cases(6, square=True):
+        seen.add((kind, len(fr)))
+        got = linalg.charpoly(_scalars(ctx, fr), ctx.one)
+        want = _sympy(fr).charpoly().all_coeffs()
+        assert _fracs(got) == [F(int(x.p), int(x.q)) for x in want], kind
+    assert {n for _, n in seen} == set(range(1, 7))
+    assert {k for k, _ in seen} == set(KINDS)
+
+
+def _random_poly(rng, deg):
+    out = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg + 1)]
+    if out[0] == 0:
+        out[0] = F(1)
+    return out
+
+
+def _poly_mul_fr(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_pairs(seed):
+    """Seeded pairs of rational polynomials; every third shares a factor."""
+    rng = random.Random(seed)
+    for n in range(40):
+        a, b = _random_poly(rng, rng.randint(0, 5)), _random_poly(rng, rng.randint(0, 4))
+        if n % 3 == 0:
+            common = _random_poly(rng, rng.randint(1, 2))
+            a, b = _poly_mul_fr(a, common), _poly_mul_fr(b, common)
+        yield a, b
+
+
+def _sympy_poly(coeffs):
+    T = sympy.Symbol("T")
+    return sympy.Poly([sympy.Rational(x.numerator, x.denominator) for x in coeffs], T,
+                      domain="QQ")
+
+
+def _coeffs(poly):
+    return [F(int(x.p), int(x.q)) for x in poly.all_coeffs()]
+
+
+def test_poly_divmod_matches_sympy(ctx):
+    for a, b in _poly_pairs(7):
+        q, r = linalg.poly_divmod(ctx, [ctx.rational(x) for x in a],
+                                  [ctx.rational(x) for x in b])
+        sq, sr = sympy.div(_sympy_poly(a), _sympy_poly(b))
+        assert (_fracs(q), _fracs(r)) == (_coeffs(sq), _coeffs(sr))
+
+
+def test_poly_xgcd_matches_sympy(ctx):
+    nontrivial = 0
+    for a, b in _poly_pairs(8):
+        g, u, v = linalg.poly_xgcd(ctx, [ctx.rational(x) for x in a],
+                                   [ctx.rational(x) for x in b])
+        su, sv, sg = sympy.gcdex(_sympy_poly(a), _sympy_poly(b))
+        assert (_fracs(g), _fracs(u), _fracs(v)) == (_coeffs(sg), _coeffs(su), _coeffs(sv))
+        nontrivial += len(g) > 1
+    assert nontrivial
+
+
+def test_linear_remainder_is_a_root(ctx):
+    # T^3 - T^2 - T + 1 = (T - 1)^2 (T + 1): the candidate 1 deflates twice
+    # and leaves T + 1, whose root -1 is no candidate
+    cp = [ctx.rational(c) for c in (1, -1, -1, 1)]
+    assert linalg.scalar_poly_roots(ctx, cp) == [(ctx.one, 2), (ctx.rational(-1), 1)]
+    P = _sympy([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+    mat = [[F(int(x.p), int(x.q)) for x in row]
+           for row in (P * sympy.diag(1, 1, -1) * P.inv()).tolist()]
+    assert linalg.eigenvalues_in_field(_scalars(ctx, mat)) == [
+        (ctx.one, 2), (ctx.rational(-1), 1)]

@@ -1,12 +1,16 @@
-"""Laurent matrices: Smith form, Newton polygon, kernels, inverses."""
+"""Laurent matrices: Smith form, Newton polygon, kernels, inverses, and the
+tracked precision of the characteristic polynomial."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from nahmkit import higgs
 from nahmkit.errors import PrecisionExhausted
 from nahmkit.field import FieldContext
+from nahmkit.higgs import ElementaryBlock, HiggsGerm, goodness_decomposition, realize
 from nahmkit.lmatrix import (
     LaurentMatrix,
     charpoly,
@@ -148,3 +152,84 @@ def test_invert_and_kernel(ctx):
     v = basis[0]
     image = [k.entries[i][0] * v[0] + k.entries[i][1] * v[1] for i in range(2)]
     assert all(not e.coeffs for e in image)
+
+
+def _faddeev_leverrier(m):
+    """Reference charpoly: Faddeev-LeVerrier on the series matrix, with the
+    precision that series arithmetic tracks along its own route."""
+    ctx, n = m.ctx, m.rows
+    coeffs = [TL.from_scalar(ctx.one)]
+    mk = m
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = m * (mk + LaurentMatrix.identity(ctx, n).scale(coeffs[-1]))
+        tr = mk.entries[0][0]
+        for i in range(1, n):
+            tr = tr + mk.entries[i][i]
+        coeffs.append(tr * ctx.rational(Fraction(-1, k)))
+    return coeffs
+
+
+def _series_key(cp):
+    return [(c.val, c.coeffs, c.prec, c.exact) for c in cp]
+
+
+#: every block shape with p + m <= 6
+SHAPES = [(p, m) for p in range(1, 6) for m in range(6)
+          if p + m <= 6 and (gcd(p, m) == 1 if m else p == 1)]
+#: two blocks of distinct slopes, as the germ benchmark pairs them
+PAIRS = [((1, 0), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (1, 2)), ((3, 1), (1, 1)),
+         ((1, 0), (2, 1)), ((2, 3), (1, 1)), ((3, 2), (1, 0))]
+
+
+def _block(ctx, shape, i):
+    p, m = shape
+    w = (Fraction(0), Fraction(-1, 3), Fraction(-3, 4))[i % 3]
+    if m == 0:
+        return ElementaryBlock.make(ctx, 1, 0, alpha=ctx.sym("a") + i, weights=(w,))
+    return ElementaryBlock.make(ctx, p, m, lead=ctx.sym("a") + i, weights=(w,))
+
+
+def _germs(ctx):
+    for shapes in [[s] for s in SHAPES] + [list(pair) for pair in PAIRS]:
+        blocks = [_block(ctx, s, i) for i, s in enumerate(shapes)]
+        yield shapes, realize(HiggsGerm.from_blocks(ctx, blocks))
+
+
+def test_charpoly_matches_the_reference_exactly(monkeypatch):
+    """lmatrix.charpoly matches the reference in valuation, coefficients,
+    precision and exactness, on the realized germ of every shape and pair
+    and on every charpoly their goodness decompositions take."""
+    ctx = FieldContext(M=12, symbols=("a",))
+    seen = []
+
+    def checked(m):
+        cp = charpoly(m)
+        assert _series_key(cp) == _series_key(_faddeev_leverrier(m))
+        seen.append(m.rows)
+        return cp
+
+    monkeypatch.setattr(higgs, "charpoly", checked)
+    for shapes, germ in _germs(ctx):
+        checked(germ.theta)
+        assert goodness_decomposition(germ).good, shapes
+    assert max(seen) == 5 and len(seen) > 2 * (len(SHAPES) + len(PAIRS))
+
+
+def test_charpoly_of_a_truncated_germ_loses_no_precision():
+    """On the same germs known only modulo z^N, each coefficient is known at
+    least as far as the reference knows it and agrees with it there; for
+    N >= 0 it also agrees with the charpoly of the exact germ.
+
+    Below 0 both routes can claim too much: the product of two series that
+    are zero to a negative precision p is taken as known to p, not to 2p."""
+    ctx = FieldContext(M=12, symbols=("a",))
+    for shapes, germ in _germs(ctx):
+        exact = charpoly(germ.theta)
+        for n in range(-4, 9):
+            m = germ.theta.truncate(n)
+            for c, ref, e in zip(charpoly(m), _faddeev_leverrier(m), exact):
+                assert not c.exact or ref.exact, (shapes, n)
+                assert c.eff_prec() >= ref.eff_prec(), (shapes, n)
+                assert c.agrees_with(ref), (shapes, n)
+                assert n < 0 or c.agrees_with(e), (shapes, n)

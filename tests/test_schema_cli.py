@@ -264,6 +264,94 @@ def test_cli_malformed_rationals_exit_2(tmp_path, capsys, edit):
     assert captured.err.startswith("InputError: ")
 
 
+def _term(obj):
+    return _alpha(obj)["num"][0]
+
+
+def _set_block(key, value):
+    def edit(obj):
+        obj["payload"]["germs"][0]["blocks"][0][key] = value
+    return edit
+
+
+def _no_c(obj):
+    del _term(obj)["c"]
+
+
+def _scalar_m(obj):
+    _term(obj)["m"] = 5
+
+
+def _field_m(obj):
+    obj["field"]["M"] = "x"
+
+
+@pytest.mark.parametrize("edit", [
+    _no_c, _scalar_m, _set_block("p", "two"), _set_block("p", 1.5),
+    _set_block("p", True), _field_m,
+], ids=["term-without-c", "term-m-int", "p-string", "p-float", "p-bool", "field-M-string"])
+def test_cli_malformed_shapes_exit_2(tmp_path, capsys, edit):
+    obj = schema.document_to_json(generate_examples("tame-rank1"))
+    edit(obj)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    assert cli_run(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("InputError: ")
+
+
+_MUTANTS = ("x", 1.5, True, None, [], {}, -1)
+
+
+def _fields(node, path=()):
+    """Paths of every dict value and list element of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _fields(value, path + (key,))
+
+
+def _mutated(obj, path, value):
+    """The text of obj with the field at path set to value, or deleted."""
+    out = json.loads(json.dumps(obj))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is _ABSENT:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return json.dumps(out)
+
+
+def test_every_single_field_mutation_loads_or_is_an_input_error():
+    """Each field of each catalog document deleted or set to a value of
+    another shape: schema.loads returns a document or raises InputError."""
+    count = 0
+    for name in catalog_names():
+        obj = schema.document_to_json(generate_examples(name))
+        for path, old in _fields(obj):
+            for value in [_ABSENT] + [v for v in _MUTANTS if json.dumps(v) != json.dumps(old)]:
+                count += 1
+                try:
+                    schema.loads(_mutated(obj, path, value))
+                except InputError:
+                    pass
+    assert count > 5000
+
+
+def test_int_fields_refuse_floats_and_bools():
+    obj = schema.document_to_json(generate_examples("pushforward-2-1"))
+    ints = [path for path, v in _fields(obj) if type(v) is int]
+    assert ints
+    for path in ints:
+        for value in (1.5, True):
+            with pytest.raises(InputError):
+                schema.loads(_mutated(obj, path, value))
+
+
 def test_complex_lattice_views():
     from nahmkit.localnahm import build_local_complex
     from nahmkit.higgs import ElementaryBlock, HiggsGerm
