@@ -6,8 +6,18 @@ A session fixes once and for all the field
 
 i.e. the cyclotomic field of order M with the Gaussian unit adjoined,
 extended by k independent transcendentals as a rational function field.
-Scalars are stored in a canonical normalized form (reduced fraction, sorted
-monomials, monic denominator), so equality is structural and decidable.
+Scalars are stored in a canonical normalized form (coprime numerator and
+denominator, the denominator's lex-leading coefficient 1), so equality is
+structural and decidable.
+
+Scalars are canonical by construction.  `Scalar(ctx, num, den)` trusts its
+parts; `reduced(ctx, num, den)` is the one entry that normalizes them (gcd,
+monomial content, monic denominator), for general quotients, square roots
+and parsed documents.  Arithmetic builds a result directly whenever its
+reduced form is known in advance: polynomial plus or times polynomial (over
+the shared denominator `ctx.unit`), polynomial plus b/d (which is
+(p d + b)/d), a one-term polynomial times b/d (where only a monomial can
+cancel), and negation.
 
 A coefficient in Q(zeta_N) is one flat int tuple (c_0, ..., c_{phi-1}, d):
 integer power-basis coordinates over one positive common denominator, with
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, sub
 
 from .errors import FieldExtensionRequired, InputError
 
@@ -251,7 +262,7 @@ def p_mul(cf, a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             c = cf.mul(ca, cb)
             if m in out:
                 c = cf.add(out[m], c)
@@ -269,7 +280,7 @@ def p_scale(cf, a, c):
 
 
 def _mono_div(ma, mb):
-    out = tuple(x - y for x, y in zip(ma, mb))
+    out = tuple(map(sub, ma, mb))
     if any(e < 0 for e in out):
         return None
     return out
@@ -299,7 +310,7 @@ def p_divexact(cf, a, b):
         c = cf.mul(ca, cb_inv)
         out[m] = c
         for mbb, cbb in b.items():
-            mm = tuple(x + y for x, y in zip(m, mbb))
+            mm = tuple(map(add, m, mbb))
             s = cf.sub(rem.get(mm, cf.zero), cf.mul(c, cbb))
             if cf.is_zero(s):
                 rem.pop(mm, None)
@@ -322,7 +333,7 @@ def _mono_content(polys):
 def _p_shift_down(a, mono):
     if not any(mono):
         return a
-    return {tuple(x - y for x, y in zip(m, mono)): c for m, c in a.items()}
+    return {tuple(map(sub, m, mono)): c for m, c in a.items()}
 
 
 def _deg_in(a, v):
@@ -361,8 +372,7 @@ def p_gcd(cf, a, b):
         return {mono: cf.one}
     g = _gcd_uni(cf, a, b, v)
     g = _p_shift_down(g, _mono_content([g]))
-    mono_g = _mono_content([{mono: cf.one}])  # = mono
-    out = {tuple(x + y for x, y in zip(m, mono_g)): c for m, c in g.items()}
+    out = {tuple(map(add, m, mono)): c for m, c in g.items()}
     return _normalize_gcd(cf, out)
 
 
@@ -419,7 +429,7 @@ def _prem(cf, a, b, v):
         # r = bl*r - rl * x^(dr-db) * b
         shift = [0] * len(next(iter(r)))
         shift[v] = dr - db
-        shifted = {tuple(x + y for x, y in zip(m, shift)): c for m, c in b.items()}
+        shifted = {tuple(map(add, m, shift)): c for m, c in b.items()}
         r = p_sub(cf, p_mul(cf, bl, r), p_mul(cf, rl, shifted))
     return r
 
@@ -447,22 +457,18 @@ class FieldContext:
         self.nvars = len(self.symbols)
         self.cyc = cyclotomic_field(self.N)
         self._zero_mono = (0,) * self.nvars
-        self.zero = self._scalar({}, {self._zero_mono: self.cyc.one})
+        # the denominator of every polynomial scalar (shared, never mutated)
+        self.unit = {self._zero_mono: self.cyc.one}
+        self.zero = Scalar(self, {}, self.unit)
         self.one = self.rational(1)
 
     # -- constructors --
 
-    def _scalar(self, num, den):
-        return Scalar(self, num, den)
-
     def rational(self, q):
         q = Fraction(q)
         if q == 0:
-            return self._scalar({}, {self._zero_mono: self.cyc.one})
-        return self._scalar(
-            {self._zero_mono: self.cyc.from_rational(q)},
-            {self._zero_mono: self.cyc.one},
-        )
+            return self.zero
+        return Scalar(self, {self._zero_mono: self.cyc.from_rational(q)}, self.unit)
 
     def sym(self, name):
         try:
@@ -470,7 +476,7 @@ class FieldContext:
         except ValueError:
             raise InputError(f"symbol {name!r} not declared in this session")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return self._scalar({mono: self.cyc.one}, {self._zero_mono: self.cyc.one})
+        return Scalar(self, {mono: self.cyc.one}, self.unit)
 
     def zeta(self, order, power=1):
         """Primitive order-th root of unity raised to power."""
@@ -479,9 +485,10 @@ class FieldContext:
                 f"root of unity of order {order} is not in Q(zeta_{self.N}); "
                 f"declare a session with {order} | lcm(M,4)"
             )
-        return self._scalar(
+        return Scalar(
+            self,
             {self._zero_mono: self.cyc.root((self.N // order) * power)},
-            {self._zero_mono: self.cyc.one},
+            self.unit,
         )
 
     def has_root_of_unity(self, order):
@@ -495,14 +502,15 @@ class Scalar:
     """Element of the session field in canonical form.
 
     Immutable; hashable; equality is structural equality of the canonical
-    form (reduced fraction, both parts sorted, monic denominator).
+    form: numerator and denominator coprime, the denominator's lex-leading
+    coefficient 1.  The constructor trusts its parts to be canonical; parts
+    that may not be go through `reduced`.
     """
 
     __slots__ = ("ctx", "num", "den", "_hash")
 
     def __init__(self, ctx, num, den):
         self.ctx = ctx
-        num, den = _normalize(ctx, num, den)
         self.num = num
         self.den = den
         self._hash = None
@@ -527,26 +535,34 @@ class Scalar:
     # -- arithmetic --
 
     def _check(self, other):
+        if type(other) is Scalar and other.ctx is self.ctx:
+            return other
         if isinstance(other, (int, Fraction)):
-            other = self.ctx.rational(other)
-        if not isinstance(other, Scalar) or other.ctx is not self.ctx:
-            raise InputError("scalar arithmetic across sessions")
-        return other
+            return self.ctx.rational(other)
+        raise InputError("scalar arithmetic across sessions")
 
     def __add__(self, other):
         other = self._check(other)
-        cf = self.ctx.cyc
-        num = p_add(
-            cf, p_mul(cf, self.num, other.den), p_mul(cf, other.num, self.den)
-        )
-        den = p_mul(cf, self.den, other.den)
-        return Scalar(self.ctx, num, den)
+        ctx = self.ctx
+        cf = ctx.cyc
+        unit = ctx.unit
+        a, b = (self, other) if self.den == unit else (other, self)
+        if a.den != unit:
+            return reduced(
+                ctx,
+                p_add(cf, p_mul(cf, a.num, b.den), p_mul(cf, b.num, a.den)),
+                p_mul(cf, a.den, b.den),
+            )
+        if b.den == unit:
+            num = p_add(cf, a.num, b.num)
+            return Scalar(ctx, num, unit) if num else ctx.zero
+        # p + b/d = (p d + b)/d, reduced since gcd(p d + b, d) = gcd(b, d) = 1
+        return Scalar(ctx, p_add(cf, p_mul(cf, a.num, b.den), b.num), b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        cf = self.ctx.cyc
-        return Scalar(self.ctx, p_neg(cf, self.num), self.den)
+        return Scalar(self.ctx, p_neg(self.ctx.cyc, self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -556,12 +572,22 @@ class Scalar:
 
     def __mul__(self, other):
         other = self._check(other)
-        cf = self.ctx.cyc
-        return Scalar(
-            self.ctx,
-            p_mul(cf, self.num, other.num),
-            p_mul(cf, self.den, other.den),
-        )
+        ctx = self.ctx
+        cf = ctx.cyc
+        unit = ctx.unit
+        if not self.num or not other.num:
+            return ctx.zero
+        a, b = (self, other) if self.den == unit else (other, self)
+        num = p_mul(cf, a.num, b.num)
+        if a.den != unit:
+            return reduced(ctx, num, p_mul(cf, a.den, b.den))
+        if b.den == unit:
+            return Scalar(ctx, num, unit)
+        if len(a.num) == 1:
+            # c x^e * b/d with gcd(b, d) = 1: only a monomial can cancel
+            mono = _mono_content([num, b.den])
+            return Scalar(ctx, _p_shift_down(num, mono), _p_shift_down(b.den, mono))
+        return reduced(ctx, num, b.den)
 
     __rmul__ = __mul__
 
@@ -570,7 +596,7 @@ class Scalar:
         if other.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         cf = self.ctx.cyc
-        return Scalar(
+        return reduced(
             self.ctx,
             p_mul(cf, self.num, other.den),
             p_mul(cf, self.den, other.num),
@@ -635,11 +661,17 @@ class Scalar:
         if self.is_zero():
             return "0"
         num = _poly_str(self.ctx, self.num)
-        if self.den == {self.ctx._zero_mono: self.ctx.cyc.one}:
+        if self.den == self.ctx.unit:
             return num
         return f"({num})/({_poly_str(self.ctx, self.den)})"
 
     __repr__ = __str__
+
+
+def reduced(ctx, num, den):
+    """The canonical scalar num/den, for parts that may share a factor or
+    have a denominator that is not monic; the one normalizing entry."""
+    return Scalar(ctx, *_normalize(ctx, num, den))
 
 
 def _normalize(ctx, num, den):
@@ -649,7 +681,7 @@ def _normalize(ctx, num, den):
     if not den:
         raise ZeroDivisionError("scalar with zero denominator")
     if not num:
-        return {}, {ctx._zero_mono: cf.one}
+        return {}, ctx.unit
     # common monomial factor
     mono = _mono_content([num, den])
     if any(mono):
@@ -768,5 +800,5 @@ def scalar_sqrt(x):
         rn2 = _poly_sqrt(cf, p_mul(cf, x.num, x.den))
         if rn2 is None:
             return None
-        return Scalar(x.ctx, rn2, x.den)
-    return Scalar(x.ctx, rn, rd)
+        return reduced(x.ctx, rn2, x.den)
+    return reduced(x.ctx, rn, rd)

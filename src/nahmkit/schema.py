@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .field import FieldContext
+from .field import FieldContext, reduced
 from .filtered import FilteredLattice
 from .higgs import ElementaryBlock, HiggsGerm
 from .lmatrix import LaurentMatrix
@@ -27,6 +27,13 @@ def _int(x, what):
     """A JSON integer; bool, float and str are not integers."""
     if type(x) is not int:
         raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _bool(x, what):
+    """A JSON boolean; only true and false are booleans."""
+    if type(x) is not bool:
+        raise InputError(f"{what} must be true or false, got {x!r}")
     return x
 
 
@@ -78,13 +85,11 @@ def scalar_to_json(s):
 
 
 def scalar_from_json(ctx, obj):
-    from .field import Scalar
-
     num = _poly_from_json(ctx, obj["num"])
     den = _poly_from_json(ctx, obj["den"])
     if all(ctx.cyc.is_zero(c) for c in den.values()):
         raise InputError("scalar with zero denominator")
-    return Scalar(ctx, num, den)
+    return reduced(ctx, num, den)
 
 
 # -- series and matrices --
@@ -105,7 +110,7 @@ def series_from_json(ctx, obj):
         _int(obj["val"], "series valuation"),
         [scalar_from_json(ctx, c) for c in obj["coeffs"]],
         prec=None if obj.get("prec") is None else _int(obj["prec"], "series precision"),
-        exact=bool(obj.get("exact", False)),
+        exact=_bool(obj.get("exact", False), "series exact"),
     )
 
 
@@ -158,7 +163,7 @@ def point_from_json(ctx, obj):
         rat_from_json(obj["q2"]),
         {k: rat_from_json(v) for k, v in obj.get("sym", {}).items()},
         None if const is None else scalar_from_json(ctx, const),
-        is_lift=bool(obj.get("lift", False)),
+        is_lift=_bool(obj.get("lift", False), "point lift"),
     )
 
 

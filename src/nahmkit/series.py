@@ -145,10 +145,12 @@ class TruncatedLaurent:
         if (not self.coeffs and self.exact) or (not other.coeffs and other.exact):
             return TruncatedLaurent.zero(self.ctx)
         if not self.coeffs or not other.coeffs:
-            # zero to precision; result zero to the propagated precision
+            # zero to precision; result zero to the propagated precision.  A
+            # series zero modulo z^p has valuation at least p, and at least 0
+            # is the bound this takes for p > 0.
             prec = min(
-                self.eff_prec() + (other.val if other.coeffs else 0),
-                other.eff_prec() + (self.val if self.coeffs else 0),
+                self.eff_prec() + (other.val if other.coeffs else min(other.prec, 0)),
+                other.eff_prec() + (self.val if self.coeffs else min(self.prec, 0)),
             )
             if prec == math.inf:
                 return TruncatedLaurent.zero(self.ctx)

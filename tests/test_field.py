@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from nahmkit import schema
 from nahmkit.errors import FieldExtensionRequired, InputError
-from nahmkit.field import FieldContext, cyclotomic_polynomial, scalar_sqrt
+from nahmkit.field import (
+    FieldContext, cyclotomic_polynomial, p_add, p_mul, p_neg, p_sub, reduced, scalar_sqrt,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +202,102 @@ def test_schema_keeps_reduced_coordinates():
         {"num": 0, "den": 1}, {"num": 3, "den": 7},
     ]}]
     assert schema.scalar_from_json(ctx, obj) == s
+
+
+# -- sums, products and negations built directly, against reduction --
+
+DIRECT_FIELDS = [(4, ("x",)), (4, ("x", "y")), (12, ("x",)), (12, ("x", "y"))]
+DIRECT_IDS = ["Q(i)-x", "Q(i)-xy", "Q(zeta12)-x", "Q(zeta12)-xy"]
+OPERAND_KINDS = ("poly", "term", "ratfun")
+
+
+def _coefficient(cf, rng):
+    while True:
+        c = cf.from_coords([
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.6
+            else Fraction(0)
+            for _ in range(cf.degree)
+        ])
+        if not cf.is_zero(c):
+            return c
+
+
+def _poly(ctx, rng, terms):
+    return {
+        tuple(rng.randint(0, 2) for _ in range(ctx.nvars)): _coefficient(ctx.cyc, rng)
+        for _ in range(terms)
+    }
+
+
+def _operand(ctx, rng, kind):
+    """A polynomial, a one-term polynomial or a true rational function; half
+    of the rational functions are built over a common factor."""
+    if kind != "ratfun":
+        return reduced(ctx, _poly(ctx, rng, 1 if kind == "term" else rng.randint(1, 3)),
+                       ctx.unit)
+    cf = ctx.cyc
+    while True:
+        g = _poly(ctx, rng, rng.randint(1, 2)) if rng.random() < 0.5 else ctx.unit
+        s = reduced(ctx, p_mul(cf, _poly(ctx, rng, rng.randint(1, 3)), g),
+                    p_mul(cf, _poly(ctx, rng, rng.randint(1, 3)), g))
+        if s.den != ctx.unit:
+            return s
+
+
+def _operand_pairs(ctx, seed, per_kind_pair):
+    rng = random.Random(seed)
+    for ka in OPERAND_KINDS:
+        for kb in OPERAND_KINDS:
+            for _ in range(per_kind_pair):
+                yield _operand(ctx, rng, ka), _operand(ctx, rng, kb)
+
+
+def _unreduced(a, b):
+    """The parts of a+b, a-b and a*b as the general formulas give them."""
+    cf = a.ctx.cyc
+    den = p_mul(cf, a.den, b.den)
+    left, right = p_mul(cf, a.num, b.den), p_mul(cf, b.num, a.den)
+    return {
+        "add": (a + b, p_add(cf, left, right), den),
+        "sub": (a - b, p_sub(cf, left, right), den),
+        "mul": (a * b, p_mul(cf, a.num, b.num), den),
+    }
+
+
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_direct_arithmetic_is_what_reduction_gives(M, symbols):
+    ctx = FieldContext(M=M, symbols=symbols)
+    cf = ctx.cyc
+    for a, b in _operand_pairs(ctx, M + len(symbols), 6):
+        for op, (got, num, den) in _unreduced(a, b).items():
+            want = reduced(ctx, num, den)
+            assert (got.num, got.den) == (want.num, want.den), (op, a, b)
+        neg = reduced(ctx, p_neg(cf, a.num), a.den)
+        assert ((-a).num, (-a).den) == (neg.num, neg.den), a
+        assert (a - a).num == {} and (a - a).den == ctx.unit
+
+
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_direct_arithmetic_matches_sympy_cancel(M, symbols):
+    """The canonical form is sympy's cancel of the same value, with the
+    denominator made monic in its lex-leading term."""
+    sympy = pytest.importorskip("sympy")
+    zeta = {4: sympy.I, 12: (sympy.sqrt(3) + sympy.I) / 2}[M]
+    K = sympy.QQ.algebraic_field(zeta)
+    gens = sympy.symbols(symbols)
+    ctx = FieldContext(M=M, symbols=symbols)
+    powers = [K.from_sympy(zeta) ** i for i in range(ctx.cyc.degree)]
+
+    def to_sympy(p):
+        terms = {
+            m: sum((K.from_sympy(sympy.Rational(q.numerator, q.denominator)) * z
+                    for q, z in zip(ctx.cyc.coords(c), powers)), K.zero)
+            for m, c in p.items()
+        }
+        return sympy.Poly.from_dict(terms or {(0,) * len(gens): K.zero}, *gens, domain=K)
+
+    for a, b in _operand_pairs(ctx, 100 + M + len(symbols), 2):
+        for op, (got, num, den) in _unreduced(a, b).items():
+            p, q = to_sympy(num).cancel(to_sympy(den), include=True)
+            assert to_sympy(got.den) == q.monic(), (op, a, b)
+            assert to_sympy(got.num) == p.exquo_ground(q.LC()), (op, a, b)

@@ -218,11 +218,8 @@ def test_charpoly_matches_the_reference_exactly(monkeypatch):
 
 def test_charpoly_of_a_truncated_germ_loses_no_precision():
     """On the same germs known only modulo z^N, each coefficient is known at
-    least as far as the reference knows it and agrees with it there; for
-    N >= 0 it also agrees with the charpoly of the exact germ.
-
-    Below 0 both routes can claim too much: the product of two series that
-    are zero to a negative precision p is taken as known to p, not to 2p."""
+    least as far as the reference knows it and agrees with it there, and
+    with the charpoly of the exact germ, for every N, negative ones too."""
     ctx = FieldContext(M=12, symbols=("a",))
     for shapes, germ in _germs(ctx):
         exact = charpoly(germ.theta)
@@ -232,4 +229,4 @@ def test_charpoly_of_a_truncated_germ_loses_no_precision():
                 assert not c.exact or ref.exact, (shapes, n)
                 assert c.eff_prec() >= ref.eff_prec(), (shapes, n)
                 assert c.agrees_with(ref), (shapes, n)
-                assert n < 0 or c.agrees_with(e), (shapes, n)
+                assert c.agrees_with(e), (shapes, n)

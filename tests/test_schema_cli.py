@@ -286,10 +286,17 @@ def _field_m(obj):
     obj["field"]["M"] = "x"
 
 
+def _set_lift(value):
+    def edit(obj):
+        obj["payload"]["lifts"][0]["lift"] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _no_c, _scalar_m, _set_block("p", "two"), _set_block("p", 1.5),
-    _set_block("p", True), _field_m,
-], ids=["term-without-c", "term-m-int", "p-string", "p-float", "p-bool", "field-M-string"])
+    _set_block("p", True), _field_m, _set_lift("no"), _set_lift(1), _set_lift(None),
+], ids=["term-without-c", "term-m-int", "p-string", "p-float", "p-bool", "field-M-string",
+        "lift-string", "lift-int", "lift-null"])
 def test_cli_malformed_shapes_exit_2(tmp_path, capsys, edit):
     obj = schema.document_to_json(generate_examples("tame-rank1"))
     edit(obj)
@@ -350,6 +357,26 @@ def test_int_fields_refuse_floats_and_bools():
         for value in (1.5, True):
             with pytest.raises(InputError):
                 schema.loads(_mutated(obj, path, value))
+
+
+def test_bool_fields_refuse_other_values():
+    obj = schema.document_to_json(generate_examples("pushforward-2-1"))
+    bools = [path for path, v in _fields(obj) if type(v) is bool]
+    assert bools
+    for path in bools:
+        for value in ("no", 1, None):
+            with pytest.raises(InputError):
+                schema.loads(_mutated(obj, path, value))
+
+
+@pytest.mark.parametrize("value", ["x", 1, None])
+def test_series_exact_must_be_a_boolean(value):
+    # no CLI document carries a series, so the reader is tested directly
+    ctx = FieldContext(M=12, symbols=("x",))
+    obj = schema.series_to_json(TL(ctx, 0, (ctx.one,), prec=3))
+    obj["exact"] = value
+    with pytest.raises(InputError):
+        schema.series_from_json(ctx, obj)
 
 
 def test_complex_lattice_views():

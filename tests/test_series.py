@@ -53,6 +53,16 @@ def test_mul_precision_rule(ctx):
     assert p.val == -2 and p.prec == 1
 
 
+def test_product_of_zeros_to_negative_precision(ctx):
+    # O(z^-2) * O(z^-2) is only known modulo z^-4
+    a = TL.zero(ctx, prec=-2, exact=False)
+    p = a * a
+    assert p.is_zero() and not p.exact and p.prec == -4
+    # a factor zero to a positive precision keeps the bound of today
+    b = TL.zero(ctx, prec=3, exact=False)
+    assert (a * b).prec == -2 and (b * b).prec == 3
+
+
 def test_zero_distinction(ctx):
     exact0 = TL.zero(ctx)
     prec0 = TL.zero(ctx, prec=5, exact=False)
