@@ -17,7 +17,7 @@ and parsed documents.  Arithmetic builds a result directly whenever its
 reduced form is known in advance: polynomial plus or times polynomial (over
 the shared denominator `ctx.unit`), polynomial plus b/d (which is
 (p d + b)/d), a one-term polynomial times b/d (where only a monomial can
-cancel), and negation.
+cancel), negation, and the inverse (b/d to d/b, made monic).
 
 A coefficient in Q(zeta_N) is one flat int tuple (c_0, ..., c_{phi-1}, d):
 integer power-basis coordinates over one positive common denominator, with
@@ -28,13 +28,20 @@ N has one shared, immutable CyclotomicField.
 
 Arithmetic never enlarges M: asking for a root of unity whose order does not
 divide N raises FieldExtensionRequired instead of extending the field.
+
+Each session has one ResidueMap (`ctx.residues`, built on first use): the
+residues of scalars in F_p, p the largest prime below 2^31 with p = 1
+(mod N), with zeta sent to a primitive N-th root of unity mod p and the
+symbols to fixed residues.  It is a ring map wherever it is defined, so a
+full column rank of residues certifies full column rank over K.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import FieldExtensionRequired, InputError
 
@@ -494,6 +501,11 @@ class FieldContext:
     def has_root_of_unity(self, order):
         return self.N % order == 0
 
+    @cached_property
+    def residues(self):
+        """The session's ResidueMap into F_p, built on first use."""
+        return ResidueMap(self)
+
     def __repr__(self):
         return f"FieldContext(M={self.M}, symbols={self.symbols})"
 
@@ -618,7 +630,16 @@ class Scalar:
         return out
 
     def inverse(self):
-        return self.ctx.one / self
+        """1/(b/d) = d/b, with both parts divided by the lex-leading
+        coefficient of b; no gcd, since gcd(b, d) = 1 already."""
+        if not self.num:
+            raise ZeroDivisionError("scalar division by zero")
+        cf = self.ctx.cyc
+        _, c = p_lead(self.num)
+        if c == cf.one:
+            return Scalar(self.ctx, self.den, self.num)
+        ci = cf.inv(c)
+        return Scalar(self.ctx, p_scale(cf, self.den, ci), p_scale(cf, self.num, ci))
 
     # -- canonical identity --
 
@@ -731,6 +752,101 @@ def _poly_str(ctx, p):
             body = cs if "+" not in cs else f"({cs})"
             parts.append(f"{body}*" + "*".join(factors))
     return " + ".join(parts)
+
+
+# ----------------------------------------------------------------------
+# residues modulo a word-size prime
+# ----------------------------------------------------------------------
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every n
+    below 3 215 031 751."""
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n):
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+class ResidueMap:
+    """The residues of a session's scalars in F_p at one fixed point.
+
+    p is the largest prime below 2^31 with p = 1 (mod N).  zeta goes to a
+    primitive N-th root of unity r mod p, so Phi_N(r) = 0, and symbol i to
+    7^(3i+5) mod p, far from small integers.  A coefficient (c_0, ...,
+    c_{phi-1}, d) goes to sum c_i r^i / d, and a scalar num/den to
+    num(point) / den(point).  That is a ring map on the local ring of the
+    scalars whose coefficient denominators are prime to p and whose
+    denominator does not vanish at the point; any other scalar has no image
+    (None).  A minor of a matrix over that ring maps to the minor of the
+    images, so full column rank mod p certifies full column rank over K
+    (the specialisation argument of Schwartz 1980 and Zippel 1979).
+    """
+
+    def __init__(self, ctx):
+        N = ctx.N
+        p = (2**31 - 2) // N * N + 1
+        while not _is_prime(p):
+            p -= N
+        qs = _prime_factors(N)
+        g = 2
+        while True:
+            r = pow(g, (p - 1) // N, p)
+            if all(pow(r, N // q, p) != 1 for q in qs):
+                break
+            g += 1
+        self.p = p
+        self.zeta_powers = tuple(pow(r, i, p) for i in range(ctx.cyc.degree))
+        self.point = tuple(pow(7, 3 * i + 5, p) for i in range(ctx.nvars))
+
+    def _poly(self, a):
+        """The residue of a polynomial dict at the point, or None."""
+        p = self.p
+        acc = 0
+        for m, c in a.items():
+            d = c[-1] % p
+            if not d:
+                return None
+            v = sum(map(mul, c, self.zeta_powers)) * pow(d, -1, p)
+            for x, e in zip(self.point, m):
+                if e:
+                    v = v * pow(x, e, p) % p
+            acc += v
+        return acc % p
+
+    def __call__(self, x):
+        """The residue of the scalar x, or None where the map is undefined."""
+        num, den = self._poly(x.num), self._poly(x.den)
+        if num is None or not den:
+            return None
+        return num * pow(den, -1, self.p) % self.p
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,10 @@ elimination, rref, serves rank, kernel and solve (which hand it their dense
 rows as dicts of nonzero entries) and the oracle's truncated models (whose
 rows are sparse already).  The reduced row echelon form is unique, so every
 caller sees the same answer whatever order the elimination takes.
+rank_mod_p eliminates the residues of the same sparse rows in F_p
+(field.ResidueMap); its rank is at most the rank over the field, so the
+oracle takes a full column rank mod p as a certificate and asks rref only
+when it does not decide.
 
 charpoly is Berkowitz's division-free algorithm; given the unit of the
 entries' ring it serves Scalar matrices and series matrices (lmatrix) alike.
@@ -71,6 +75,46 @@ def rref(rows):
         reduced[pc] = row
     pivots = sorted(reduced)
     return [{c: one, **reduced[c]} for c in pivots], pivots
+
+
+def rank_mod_p(rows, image):
+    """Rank over F_p of the residues of sparse rows, or None.
+
+    rows: list of dicts {column: Scalar}, as rref takes them; image: a
+    field.ResidueMap.  Returns None when some entry has no image.  The rank
+    of the images is at most the rank over the session field, so a rank
+    equal to the number of columns certifies full column rank; a lower one
+    decides nothing.
+    """
+    p = image.p
+    memo = {}
+    # pivot column -> its row, scaled so that the pivot is 1
+    pivots = {}
+    for src in rows:
+        row = {}
+        for c, x in src.items():
+            v = memo.get(x)
+            if v is None:
+                v = memo[x] = image(x)
+                if v is None:
+                    return None
+            if v:
+                row[c] = v
+        while row:
+            pc = min(row)
+            prow = pivots.get(pc)
+            if prow is None:
+                inv = pow(row[pc], -1, p)
+                pivots[pc] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[pc]
+            for c, v in prow.items():
+                v = (row.get(c, 0) - f * v) % p
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 def _axpy(row, c, x):

@@ -5,14 +5,19 @@ Two independent routes to every local rank:
 * truncated_cokernel builds the honest truncated matrix of theta + w dzeta
   from C0-lattice coordinates to C1-lattice coordinates over the session
   field (w symbolic for generic fibers) and computes exact kernel/cokernel
-  dimensions of that explicit matrix (linalg.rref where the triangular
-  certificate does not apply), certifying by stability under N -> N + 4.
-  The kernel of the map over the series field does not depend on N, so it
-  is computed once per call, before either truncation is built;
+  dimensions of that explicit matrix, certifying by stability under
+  N -> N + 4.  Each rank is decided by a modular certificate first: full
+  column rank of the residues mod p (field.ResidueMap, linalg.rank_mod_p)
+  is full column rank over the field.  Where it does not decide, exact
+  elimination over the field (linalg.rref) does.  Each part's map is
+  realized once per call and shared by the module-kernel pass and both
+  truncations; the module kernel does not depend on N, so it is computed
+  before either truncation is built;
 
 * degree_crosscheck recomputes the lattice index through Smith normal form
   of the map written in the lattice frames (sum of invariant exponents
-  minus the valuation of the determinant of the raw map).
+  minus the valuation of the determinant of the raw map).  It realizes
+  each part itself, so the two routes share nothing.
 
 Any disagreement with the weight bookkeeping is a hard failure, never
 smoothed over.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, PrecisionExhausted
 from .higgs import HiggsGerm, realize
-from .linalg import rref
+from .linalg import rank_mod_p, rref
 from .lmatrix import (
     LaurentMatrix,
     determinant,
@@ -56,19 +61,20 @@ def _map_matrix(ctx, germ, w):
     return g, A + wI
 
 
-def build_truncation_model(complex_, w, N):
-    """Assemble the truncated coordinate matrix of the complex at twist w."""
+def part_maps(complex_, w):
+    """theta + w dzeta of each part of the complex, realized once.
+
+    Runs the two checks that do not depend on the truncation order: the
+    realized weights match the part's, and the map preserves the lattices
+    (no image exponent below the C1 floor)."""
     ctx = complex_.germ.ctx
-    entries = []
-    col_off = row_off = 0
+    maps = []
     for part in complex_.parts:
-        germ1 = HiggsGerm.from_blocks(ctx, [part.block])
-        g, M = _map_matrix(ctx, germ1, w)
+        g, M = _map_matrix(ctx, HiggsGerm.from_blocks(ctx, [part.block]), w)
         r = g.lattice.rank
         # realized weights match part.down_weights (both sorted descending)
         if tuple(g.lattice.weights) != part.down_weights:
             raise InputError("complex lattice data out of sync with realization")
-        # validate lattice preservation: no image exponent below the C1 floor
         for i in range(r):
             for j in range(r):
                 e = M.entries[i][j]
@@ -76,63 +82,54 @@ def build_truncation_model(complex_, w, N):
                     raise InputError(
                         "complex map is not lattice-preserving (level error)"
                     )
+        maps.append(M)
+    return maps
+
+
+def build_truncation_model(complex_, maps, N):
+    """Assemble the truncated coordinate matrix of the complex, given the
+    map of each part (part_maps)."""
+    rows = []
+    col_off = 0
+    for part, M in zip(complex_.parts, maps):
+        n0, n1 = part.c0_exponents, part.c1_exponents
+        r = len(n0)
         # shared upper cutoff: domain (j, t): n0_j <= t < T, codomain
         # (i, s): n1_i <= s < T; the index lives in the size difference
-        T = N + max(
-            [0]
-            + [part.c0_exponents[j] for j in range(r)]
-            + [part.c1_exponents[i] for i in range(r)]
-        )
-        col_base = {}
+        T = N + max((0, *n0, *n1))
+        col_base = []
         for j in range(r):
-            col_base[j] = col_off
-            col_off += T - part.c0_exponents[j]
-        row_base = {}
+            col_base.append(col_off)
+            col_off += T - n0[j]
+        row_base = []
         for i in range(r):
-            row_base[i] = row_off
-            row_off += T - part.c1_exponents[i]
+            row_base.append(len(rows))
+            rows.extend({} for _ in range(T - n1[i]))
+        # row (i, s) and column (j, t) meet in the coefficient of z^(s-t) of
+        # entry (i, j) alone, so each coefficient is stored as it is
         for j in range(r):
-            for t in range(part.c0_exponents[j], T):
-                col = col_base[j] + (t - part.c0_exponents[j])
+            for t in range(n0[j], T):
+                col = col_base[j] + (t - n0[j])
                 for i in range(r):
                     e = M.entries[i][j]
                     for pos, cf in enumerate(e.coeffs):
-                        if cf.is_zero():
-                            continue
                         s = e.val + pos + t
-                        if part.c1_exponents[i] <= s < T:
-                            entries.append((row_base[i] + (s - part.c1_exponents[i]), col, cf))
-    matrix = {}
-    for rr, cc, cf in entries:
-        matrix.setdefault(rr, {})
-        matrix[rr][cc] = matrix[rr].get(cc, ctx.zero) + cf
+                        if s >= T:
+                            break
+                        if s >= n1[i] and not cf.is_zero():
+                            rows[row_base[i] + (s - n1[i])][col] = cf
     return TruncationModel(
-        N=N, domain_dim=col_off, codomain_dim=row_off,
-        matrix=[{c: v for c, v in matrix.get(rr, {}).items() if not v.is_zero()}
-                for rr in range(row_off)],
+        N=N, domain_dim=col_off, codomain_dim=len(rows), matrix=rows
     )
 
 
-def _sparse_rank(model):
+def _sparse_rank(ctx, model):
     """Exact rank of the truncated matrix.
 
-    Fast path: a triangular certificate -- if every column has a distinct
-    lowest nonzero row and those pivots are nonzero scalars, the matrix has
-    full column rank.  Fallback: linalg.rref over the session field."""
-    cols = {}
-    for rr, row in enumerate(model.matrix):
-        for cc, v in row.items():
-            cols.setdefault(cc, []).append((rr, v))
-    # triangular certificate
-    seen = set()
-    triangular = True
-    for cc, items in cols.items():
-        rr = min(r for r, _ in items)
-        if rr in seen:
-            triangular = False
-            break
-        seen.add(rr)
-    if triangular and len(cols) == model.domain_dim:
+    A rank mod p equal to the number of columns certifies full column rank
+    (linalg.rank_mod_p); anything else goes to linalg.rref over the session
+    field."""
+    if rank_mod_p(model.matrix, ctx.residues) == model.domain_dim:
         return model.domain_dim
     return len(rref(model.matrix)[1])
 
@@ -143,21 +140,25 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     twist is (w, L): w a session scalar (symbolic for the generic fiber),
     L a torus twist class or None (it only affects which degeneracies are
     flagged, not the matrix).  Returns (dim ker, dim coker, certified);
-    certification means stability under N -> N + 4.
+    certification means stability under N -> N + 4, or for a module kernel
+    that kernel_basis certified it.
     """
     w, _L = twist
     ctx = complex_.germ.ctx
+    maps = part_maps(complex_, w)
     module_kernel = 0
-    for part in complex_.parts:
-        _g, M = _map_matrix(ctx, HiggsGerm.from_blocks(ctx, [part.block]), w)
-        module_kernel += len(kernel_basis(M)[0])
+    certified = True
+    for M in maps:
+        basis, exact = kernel_basis(M)
+        module_kernel += len(basis)
+        certified = certified and exact
     if module_kernel:
-        # the module kernel does not depend on N: certified as it stands
-        return module_kernel, None, True
+        # the module kernel does not depend on N
+        return module_kernel, None, certified
     out = []
     for n in (N, N + 4):
-        model = build_truncation_model(complex_, w, n)
-        rank = _sparse_rank(model)
+        model = build_truncation_model(complex_, maps, n)
+        rank = _sparse_rank(ctx, model)
         out.append((model.domain_dim - rank, model.codomain_dim - rank))
     ker, coker = out[0]
     return ker, coker, out[0] == out[1]

@@ -146,11 +146,10 @@ class TruncatedLaurent:
             return TruncatedLaurent.zero(self.ctx)
         if not self.coeffs or not other.coeffs:
             # zero to precision; result zero to the propagated precision.  A
-            # series zero modulo z^p has valuation at least p, and at least 0
-            # is the bound this takes for p > 0.
+            # series zero modulo z^p has valuation at least p.
             prec = min(
-                self.eff_prec() + (other.val if other.coeffs else min(other.prec, 0)),
-                other.eff_prec() + (self.val if self.coeffs else min(self.prec, 0)),
+                self.eff_prec() + (other.val if other.coeffs else other.prec),
+                other.eff_prec() + (self.val if self.coeffs else self.prec),
             )
             if prec == math.inf:
                 return TruncatedLaurent.zero(self.ctx)

@@ -301,3 +301,68 @@ def test_direct_arithmetic_matches_sympy_cancel(M, symbols):
             p, q = to_sympy(num).cancel(to_sympy(den), include=True)
             assert to_sympy(got.den) == q.monic(), (op, a, b)
             assert to_sympy(got.num) == p.exquo_ground(q.LC()), (op, a, b)
+
+
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_direct_inverse_is_what_reduction_gives(M, symbols):
+    ctx = FieldContext(M=M, symbols=symbols)
+    for a, b in _operand_pairs(ctx, 200 + M + len(symbols), 4):
+        for x in (a, b):
+            want = reduced(ctx, x.den, x.num)
+            got = x.inverse()
+            assert (got.num, got.den) == (want.num, want.den), x
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero.inverse()
+
+
+# -- residues modulo a word-size prime --
+
+
+def _largest_prime_below_2_31(N):
+    def prime(n):
+        return n > 1 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+
+    p = (2 ** 31 - 2) // N * N + 1
+    while not prime(p):
+        p -= N
+    return p
+
+
+@pytest.mark.parametrize("M", [1, 3, 5, 12, 60])
+def test_residue_prime_and_root_of_unity(M):
+    ctx = FieldContext(M=M, symbols=("x",))
+    res = ctx.residues
+    assert res is ctx.residues
+    p, N = res.p, ctx.N
+    assert p == _largest_prime_below_2_31(N) and p % N == 1
+    r = res.zeta_powers[1]
+    assert sum(c * pow(r, i, p) for i, c in enumerate(cyclotomic_polynomial(N))) % p == 0
+    assert [e for e in range(1, N + 1) if pow(r, e, p) == 1] == [N]
+    assert res.zeta_powers == tuple(pow(r, i, p) for i in range(ctx.cyc.degree))
+
+
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_residue_map_is_a_ring_map(M, symbols):
+    ctx = FieldContext(M=M, symbols=symbols)
+    res = ctx.residues
+    p = res.p
+    assert res(ctx.zeta(ctx.N)) == res.zeta_powers[1]
+    assert [res(ctx.sym(s)) for s in symbols] == list(res.point)
+    for a, b in _operand_pairs(ctx, 300 + M + len(symbols), 4):
+        ra, rb = res(a), res(b)
+        assert ra is not None and rb is not None
+        assert res(a + b) == (ra + rb) % p
+        assert res(a - b) == (ra - rb) % p
+        assert res(a * b) == ra * rb % p
+        if ra:
+            assert res(a.inverse()) == pow(ra, -1, p)
+
+
+def test_residue_map_has_no_image_where_the_denominator_vanishes():
+    ctx = FieldContext(M=12, symbols=("x", "y"))
+    res = ctx.residues
+    x = ctx.sym("x")
+    at = ctx.rational(res.point[0])
+    assert res(x - at) == 0
+    assert res((x - at).inverse()) is None
+    assert res(ctx.rational(Fraction(1, res.p))) is None

@@ -2,9 +2,10 @@
 toolkit over the session field, against sympy.
 
 linalg.rref serves rank, kernel and solve, and the oracle's rank of a
-truncated model once the triangular certificate fails; each is compared
-with sympy's exact rational linear algebra on seeded random matrices, and
-so are linalg.charpoly, poly_divmod and poly_xgcd.
+truncated model where the rank mod p (linalg.rank_mod_p) does not certify
+full column rank; each is compared with sympy's exact rational linear
+algebra on seeded random matrices, and so are linalg.charpoly, poly_divmod
+and poly_xgcd.
 """
 
 import random
@@ -136,8 +137,15 @@ def test_rref_leaves_rows_and_zero_rows(ctx):
 def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
     b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.rational(2), weights=(F(-1, 4),))
     complex_ = build_local_complex(HiggsGerm.from_blocks(ctx, [b]))
-    model = oracle.build_truncation_model(complex_, ctx.rational(F(1, 2)), 8)
+    maps = oracle.part_maps(complex_, ctx.rational(F(1, 2)))
+    model = oracle.build_truncation_model(complex_, maps, 8)
     assert (model.codomain_dim, model.domain_dim) == (19, 16)
+    # not triangular: two columns share their lowest nonzero row
+    lowest = {}
+    for r, row in enumerate(model.matrix):
+        for c in row:
+            lowest.setdefault(c, r)
+    assert len(set(lowest.values())) < model.domain_dim
     eliminations = []
 
     def counted(rows):
@@ -145,11 +153,68 @@ def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
         return linalg.rref(rows)
 
     monkeypatch.setattr(oracle, "rref", counted)
-    rank = oracle._sparse_rank(model)
-    assert eliminations == [19]  # the certificate failed; rref decided
+    rank = oracle._sparse_rank(ctx, model)
+    assert eliminations == []  # the rank mod p decided
     dense = [[model.matrix[i].get(j, ctx.zero).as_fraction()
               for j in range(model.domain_dim)] for i in range(model.codomain_dim)]
     assert rank == model.domain_dim - len(_sympy(dense).nullspace())
+
+
+def test_oracle_rank_falls_through_to_rref(ctx, monkeypatch):
+    """Where the residues lose rank, or some entry has none, rref decides."""
+    a = ctx.sym("a")
+    at = ctx.rational(ctx.residues.point[0])
+    vanishing = [{0: ctx.one, 1: ctx.sym("w")}, {1: a - at}]
+    no_image = [{0: ctx.one, 1: ctx.sym("w")}, {1: (a - at).inverse()}]
+    assert linalg.rank_mod_p(vanishing, ctx.residues) == 1
+    assert linalg.rank_mod_p(no_image, ctx.residues) is None
+    eliminations = []
+
+    def counted(rows):
+        eliminations.append(len(rows))
+        return linalg.rref(rows)
+
+    monkeypatch.setattr(oracle, "rref", counted)
+    for rows in (vanishing, no_image):
+        model = oracle.TruncationModel(N=0, domain_dim=2, codomain_dim=2, matrix=rows)
+        assert oracle._sparse_rank(ctx, model) == 2
+    assert eliminations == [2, 2]
+
+
+def _random_scalar(ctx, rng):
+    """A sum of two of 1, zeta_12, x1, x2.  Richer entries make rref over
+    two symbols take seconds (the gcds of its quotients)."""
+    terms = rng.sample([ctx.one, ctx.zeta(12), ctx.sym("x1"), ctx.sym("x2")], 2)
+    return sum((ctx.rational(rng.choice((-3, -2, -1, 1, 2, 3))) * t for t in terms),
+               ctx.zero)
+
+
+def test_rank_mod_p_against_rref_over_symbols():
+    """Seeded sparse matrices over Q(zeta_12)(x1, x2): the rank mod p never
+    exceeds the exact rank, and a full column rank mod p is exact."""
+    ctx = FieldContext(M=12, symbols=("x1", "x2"))
+    rng = random.Random(7)
+    certified = deficient = 0
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        if rng.random() < 0.4:
+            inner = rng.randint(0, min(rows, cols) - 1)
+            left = [[_random_scalar(ctx, rng) for _ in range(inner)] for _ in range(rows)]
+            right = [[_random_scalar(ctx, rng) for _ in range(cols)] for _ in range(inner)]
+            mat = (linalg.mat_mul(left, right) if inner
+                   else [[ctx.zero] * cols for _ in range(rows)])
+        else:
+            mat = [[_random_scalar(ctx, rng) if rng.random() < 0.5 else ctx.zero
+                    for _ in range(cols)] for _ in range(rows)]
+        sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in mat]
+        exact = linalg.rank(mat)
+        mod_p = linalg.rank_mod_p(sparse, ctx.residues)
+        assert mod_p is not None and mod_p <= exact
+        if mod_p == cols:
+            assert exact == cols
+            certified += 1
+        deficient += exact < min(rows, cols)
+    assert certified and deficient
 
 
 def test_charpoly_matches_sympy(ctx):

@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from nahmkit import linalg, oracle
+from nahmkit.errors import PrecisionExhausted
 from nahmkit.field import FieldContext
 from nahmkit.higgs import ElementaryBlock, HiggsGerm
 from nahmkit.localnahm import build_local_complex
@@ -13,6 +15,7 @@ from nahmkit.oracle import (
     build_truncation_model,
     degree_crosscheck,
     oracle_rank,
+    part_maps,
     truncated_cokernel,
 )
 from nahmkit.torus import TorusPoint
@@ -26,6 +29,21 @@ def ctx():
 
 def complex_of(ctx, blocks):
     return build_local_complex(HiggsGerm.from_blocks(ctx, blocks))
+
+
+# the block shapes (p, m) of the acceptance suite; (1, 0) is tame
+SUITE_SHAPES = [(1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (2, 3), (1, 3),
+                (4, 1), (1, 4), (5, 1)]
+
+
+def suite_complex(ctx, shape):
+    p, m = shape
+    a = ctx.sym("a")
+    if m == 0:
+        b = ElementaryBlock.make(ctx, 1, 0, alpha=a, weights=(F(-1, 6),))
+    else:
+        b = ElementaryBlock.make(ctx, p, m, lead=a, weights=(F(-2, 5),))
+    return complex_of(ctx, [b])
 
 
 def test_tame_generic(ctx):
@@ -79,7 +97,7 @@ def test_oracle_rank_matches_bookkeeping_suite(ctx):
 def test_model_shape(ctx):
     b = ElementaryBlock.make(ctx, 1, 0, alpha=ctx.sym("a"), weights=(F(-1, 4),))
     c = complex_of(ctx, [b])
-    model = build_truncation_model(c, ctx.sym("w"), 8)
+    model = build_truncation_model(c, part_maps(c, ctx.sym("w")), 8)
     # the (N) x (N+1)-style rectangle: one extra codomain coordinate
     assert model.codomain_dim == model.domain_dim + 1
     assert truncated_cokernel(c, (ctx.sym("w"), None), 8)[0] == 0
@@ -122,3 +140,49 @@ def test_crosscheck_additivity(ctx):
         ],
     )
     assert degree_crosscheck(d, w)
+
+
+def test_rank_mod_p_against_rref_on_suite_models(ctx):
+    """On every suite-shape model at N = 8..12 the rank mod p never exceeds
+    the rank by rref, and where it certifies full column rank so does rref."""
+    w = ctx.sym("w")
+    for shape in SUITE_SHAPES:
+        c = suite_complex(ctx, shape)
+        maps = part_maps(c, w)
+        for n in range(8, 13):
+            model = build_truncation_model(c, maps, n)
+            mod_p = linalg.rank_mod_p(model.matrix, ctx.residues)
+            exact = len(linalg.rref(model.matrix)[1])
+            assert mod_p is not None and mod_p <= exact, (shape, n)
+            assert mod_p == model.domain_dim and exact == mod_p, (shape, n)
+
+
+def test_uncertified_module_kernel_is_reported(ctx, monkeypatch):
+    monkeypatch.setattr(oracle, "kernel_basis", lambda M: ([[ctx.one]], False))
+    germ = HiggsGerm.from_blocks(
+        ctx, [ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(F(0),))])
+    c = build_local_complex(germ)
+    assert truncated_cokernel(c, (ctx.sym("w"), None), 24) == (len(c.parts), None, False)
+    with pytest.raises(PrecisionExhausted):
+        oracle_rank(germ, ctx.sym("w"), 24)
+
+
+def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch):
+    """Count-only guard: on each suite shape at N = 24, one realization per
+    part, and every rank is decided mod p, with no call of rref."""
+    calls = {"rref": 0, "realize": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "rref", counting("rref", oracle.rref))
+    monkeypatch.setattr(oracle, "realize", counting("realize", oracle.realize))
+    w = ctx.sym("w")
+    for shape in SUITE_SHAPES:
+        c = suite_complex(ctx, shape)
+        calls.update(rref=0, realize=0)
+        assert truncated_cokernel(c, (w, None), 24)[0::2] == (0, True)
+        assert calls == {"rref": 0, "realize": len(c.parts)}, shape

@@ -58,9 +58,9 @@ def test_product_of_zeros_to_negative_precision(ctx):
     a = TL.zero(ctx, prec=-2, exact=False)
     p = a * a
     assert p.is_zero() and not p.exact and p.prec == -4
-    # a factor zero to a positive precision keeps the bound of today
+    # a factor zero to a positive precision p has valuation at least p
     b = TL.zero(ctx, prec=3, exact=False)
-    assert (a * b).prec == -2 and (b * b).prec == 3
+    assert (a * b).prec == 1 and (b * b).prec == 6
 
 
 def test_zero_distinction(ctx):
