@@ -363,9 +363,8 @@ def _h0_scan_bundle(data):
 
 def _negate_classes(failing):
     out = []
-    for w, cls, side in failing:
-        side2 = "H2"
-        out.append((w, (-cls).reduce() if isinstance(cls, TorusPoint) else cls, side2))
+    for w, cls, _ in failing:
+        out.append((w, (-cls).reduce() if isinstance(cls, TorusPoint) else cls, "H2"))
     return out
 
 

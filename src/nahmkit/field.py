@@ -427,7 +427,7 @@ def _gcd_uni(cf, a, b, v):
 
 def _prem(cf, a, b, v):
     """Pseudo-remainder of a by b in the variable v."""
-    da, db = _deg_in(a, v), _deg_in(b, v)
+    db = _deg_in(b, v)
     bl = _coeffs_in(b, v)[db]
     r = dict(a)
     while r and _deg_in(r, v) >= db:
@@ -885,7 +885,7 @@ def _poly_sqrt(cf, p):
         return None
     root = {tuple(e // 2 for e in m): c0}
     rem = p_sub(cf, p, p_mul(cf, root, root))
-    lead_div = p_scale(cf, root, cf.inv(cf.add(c0, c0)))  # root / (2 c0)
+    half_inv = cf.inv(cf.add(c0, c0))
     # descend by lex order: next term = lead(rem) / (2 * lead(root))
     guard = 4 * (len(p) + 2) ** 2
     while rem:
@@ -896,7 +896,7 @@ def _poly_sqrt(cf, p):
         md = _mono_div(mr, tuple(e // 2 for e in m))
         if md is None:
             return None
-        t = {md: cf.mul(cr, cf.inv(cf.add(c0, c0)))}
+        t = {md: cf.mul(cr, half_inv)}
         # rem -= 2*root*t + t^2
         two_rt = p_scale(cf, p_mul(cf, root, t), cf.from_rational(2))
         rem = p_sub(cf, rem, p_add(cf, two_rt, p_mul(cf, t, t)))

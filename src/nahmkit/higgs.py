@@ -365,8 +365,8 @@ def realize(germ):
 
 
 def _germ_pullback(weights, level, A, p):
-    """Pull back a matrix germ along u^p = z; returns (weights, level, A)
-    in the compatible frame w_i = u^{-n_i} phi^* v_i, sorted."""
+    """Pull back a matrix germ along u^p = z; returns (weights, A) in the
+    compatible frame w_i = u^{-n_i} phi^* v_i, sorted."""
     ctx = A.ctx
     r = len(weights)
     ns = []
@@ -385,7 +385,7 @@ def _germ_pullback(weights, level, A, p):
     order = sorted(range(r), key=lambda i: (-new_w[i], i))
     w_sorted = [new_w[i] for i in order]
     ent_sorted = [[ent[order[i]][order[j]] for j in range(r)] for i in range(r)]
-    return w_sorted, p * level, LaurentMatrix(ctx, ent_sorted)
+    return w_sorted, LaurentMatrix(ctx, ent_sorted)
 
 
 @dataclass
@@ -411,8 +411,7 @@ def slope_check(germ, p, m):
     if m > 0 and gcd(p, m) != 1:
         raise InputError("slope data must be coprime")
     g = realize(germ)
-    ctx = g.ctx
-    w_up, lvl_up, A_up = _germ_pullback(list(g.lattice.weights), g.lattice.level, g.theta, p)
+    w_up, A_up = _germ_pullback(list(g.lattice.weights), g.lattice.level, g.theta, p)
     X = A_up.shift(m)
     r = len(w_up)
     lattice_ok = True
@@ -462,7 +461,7 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
     r1, r2 = len(f0) - 1, len(g0) - 1
     if r1 + r2 != r:
         raise InputError("factor degrees do not match")
-    g, u, v = linalg.poly_xgcd(ctx, f0, g0)
+    g, u, _ = linalg.poly_xgcd(ctx, f0, g0)
     if len(g) != 1:
         raise FieldExtensionRequired("mod-z factors are not coprime")
 
@@ -708,7 +707,7 @@ def _matrix_slope_decomposition(germ):
         )
     if len(pms) == 1:
         p, m = pms[0]
-        ok, cert = slope_check(g, p, m)
+        ok, _ = slope_check(g, p, m)
         if not ok:
             raise NotAdmissible(
                 f"single Newton slope {m}/{p} but the lattice certificate fails"
@@ -721,7 +720,7 @@ def _matrix_slope_decomposition(germ):
     F, G = _newton_factor(ctx, cp, mu_top, pm_groups[top])
     sub_top, sub_rest = _split_by_factors(g, [F, G])
     out = _matrix_slope_decomposition(sub_rest)
-    okc, cert = slope_check(sub_top, *top)
+    okc, _ = slope_check(sub_top, *top)
     if not okc:
         raise NotAdmissible(f"slope-{top[1]}/{top[0]} part fails its certificate")
     return out + [(sub_top, top)]
@@ -964,14 +963,13 @@ def _upstairs_weights(down_weights, p):
     while remaining:
         top = remaining[0]
         for j in range(p):
-            w, _ = normalize_weight(top - Fraction(j, p), 0)
             # the family of a push-forward line is spaced by 1/p
-            w2, _ = normalize_weight(top - Fraction(j, p), 0)
-            if w2 not in remaining:
+            w, _ = normalize_weight(top - Fraction(j, p), 0)
+            if w not in remaining:
                 raise NotAdmissible(
                     "downstairs weights are not a push-forward family"
                 )
-            remaining.remove(w2)
+            remaining.remove(w)
         c, _ = normalize_weight(top * p, 0)
         ups.append(c)
     return ups
@@ -996,7 +994,7 @@ def _recognize_block(germ, p, m, label):
     weights_up = _upstairs_weights(list(g.lattice.weights), p)
     if len(weights_up) != k:
         raise NotAdmissible("weight family inconsistent with the covering")
-    kind, val = label
+    _, val = label
     if m == 0:
         return ElementaryBlock.make(ctx, 1, 0, alpha=val, weights=tuple(weights_up))
     tr = g.theta.entries[0][0]
@@ -1046,7 +1044,6 @@ def goodness_decomposition(germ):
     recognition at the working precision is reported as a structured
     failure, never silently accepted.
     """
-    ctx = germ.ctx
     if germ.is_canonical():
         groups = {}
         order = []

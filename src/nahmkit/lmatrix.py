@@ -1,15 +1,19 @@
 """Matrices of truncated Laurent series: the working substrate.
 
-Provides the exact kernels every higher layer leans on: arithmetic,
-inversion and determinants over the series field, Smith normal form over the
-power-series ring (invariant factors are powers of z), column echelon /
-kernels, and Newton polygons.  Characteristic polynomials come from
-linalg.charpoly, the one division-free (Berkowitz) routine, which serves
-series entries as it serves Scalar ones.
+Provides the exact kernels every higher layer leans on: arithmetic, and one
+forward elimination over the series field that always pivots on an entry of
+least valuation, with one back-substitution.  Determinants, inverses,
+saturated kernels and the Smith invariants over the power-series ring
+(powers of z; the Smith form returns only these, without transforms) are
+all read off that elimination.  Newton polygons complete the layer.
+Characteristic polynomials come from linalg.charpoly, the one
+division-free (Berkowitz) routine, which serves series entries as it
+serves Scalar ones.
 
 Certification discipline: a pivot that is zero to the working precision but
 not exactly zero can never be used silently; such situations raise
-PrecisionExhausted so the caller can retry with a larger N.
+PrecisionExhausted (kernel_basis reports its basis uncertified instead) so
+the caller can retry with a larger N.
 """
 
 from __future__ import annotations
@@ -112,8 +116,6 @@ class LaurentMatrix:
         return self + other.scale(self.ctx.rational(-1))
 
     def scale(self, c):
-        if isinstance(c, TruncatedLaurent):
-            return self.map_entries(lambda e: e * c)
         return self.map_entries(lambda e: e * c)
 
     def __mul__(self, other):
@@ -157,36 +159,81 @@ class LaurentMatrix:
 # ----------------------------------------------------------------------
 
 
-def _pick_pivot(work, used_rows, used_cols, nrows, ncols, strict=True):
-    """Entry of minimal valuation among unused rows/cols; None if all zero.
+def _eliminate(rows, ncols):
+    """Forward elimination over the series field, in place, always on a
+    pivot of least valuation.
 
-    strict: a remaining entry that vanishes only to precision aborts with
-    PrecisionExhausted; non-strict callers get (None, pending) back and must
-    downgrade their certification instead.
+    Each step scans the unused rows and the first `ncols` unused columns row
+    by row, takes the first entry of strictly least valuation as the pivot
+    and clears its column from the unused rows.  Returns (pivots, pending):
+    the pivots (row, col, entry) in the order taken, and whether an entry
+    left over vanishes only to the working precision.
+
+    Over K[[z]] a pivot of least valuation makes every row operation
+    unimodular, so the pivot valuations are the Smith invariant exponents.
     """
-    best = None
-    pending = False
-    for i in range(nrows):
-        if i in used_rows:
-            continue
-        for j in range(ncols):
-            if j in used_cols:
+    used_rows, used_cols = set(), set()
+    pivots = []
+    while True:
+        best = None
+        pending = False
+        for i, row in enumerate(rows):
+            if i in used_rows:
                 continue
-            e = work[i][j]
-            if e.coeffs:
-                v = e.val
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-            elif not e.exact:
-                pending = True
-    if best is None and pending and strict:
+            for j in range(ncols):
+                if j in used_cols:
+                    continue
+                e = row[j]
+                if e.coeffs:
+                    if best is None or e.val < best[0]:
+                        best = (e.val, i, j)
+                elif not e.exact:
+                    pending = True
+        if best is None:
+            return pivots, pending
+        _, pi, pj = best
+        used_rows.add(pi)
+        used_cols.add(pj)
+        piv = rows[pi][pj]
+        pivots.append((pi, pj, piv))
+        targets = [i for i, row in enumerate(rows) if i not in used_rows and row[pj].coeffs]
+        if targets:
+            inv = piv.invert()
+            for i in targets:
+                f = rows[i][pj] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pi])]
+
+
+def _certain_pivots(rows, ncols):
+    """_eliminate for the routines that cannot report an uncertified rank."""
+    pivots, pending = _eliminate(rows, ncols)
+    if pending:
         raise PrecisionExhausted(
             "all remaining entries vanish to the working precision but are "
             "not structural zeros; raise the precision"
         )
-    if strict:
-        return best
-    return best, pending
+    return pivots
+
+
+def _back_substitute(rows, pivots, rhs):
+    """Solve the triangle that _eliminate leaves, once per column t in rhs.
+
+    Returns, per t, {pivot column c: x_c} with sum_c rows[r][c] x_c equal
+    to rows[r][t] on every pivot row r.  A pivot row's entries in the
+    columns of earlier pivots vanish by construction and are not read."""
+    invs = [piv.invert() for _, _, piv in pivots]
+    out = []
+    for t in rhs:
+        x = {}
+        for (r, c, _), inv in zip(reversed(pivots), reversed(invs)):
+            row = rows[r]
+            acc = row[t]
+            for c2, v in x.items():
+                if not row[c2].is_exact_zero():
+                    acc = acc - row[c2] * v
+            x[c] = acc * inv
+        out.append(x)
+    return out
 
 
 def invert_matrix(m):
@@ -194,63 +241,26 @@ def invert_matrix(m):
     if m.rows != m.cols:
         raise InputError("inverse of non-square matrix")
     n = m.rows
-    work = [list(row) for row in m.entries]
-    ident = [list(row) for row in LaurentMatrix.identity(m.ctx, n).entries]
-    perm = []
-    used_rows, used_cols = set(), set()
-    for _ in range(n):
-        got = _pick_pivot(work, used_rows, used_cols, n, n)
-        if got is None:
-            raise InputError("matrix not invertible over the series field")
-        _, pi, pj = got
-        used_rows.add(pi)
-        used_cols.add(pj)
-        perm.append((pi, pj))
-        inv = work[pi][pj].invert()
-        work[pi] = [e * inv for e in work[pi]]
-        ident[pi] = [e * inv for e in ident[pi]]
-        for i in range(n):
-            if i != pi and work[i][pj].coeffs:
-                f = work[i][pj]
-                work[i] = [a - f * b for a, b in zip(work[i], work[pi])]
-                ident[i] = [a - f * b for a, b in zip(ident[i], ident[pi])]
-    # rows of the inverse: variable pj solved from row pi
-    out = [None] * n
-    for pi, pj in perm:
-        out[pj] = ident[pi]
-    return LaurentMatrix(m.ctx, out)
+    ident = LaurentMatrix.identity(m.ctx, n).entries
+    rows = [list(row) + list(e) for row, e in zip(m.entries, ident)]
+    pivots = _certain_pivots(rows, n)
+    if len(pivots) < n:
+        raise InputError("matrix not invertible over the series field")
+    cols = _back_substitute(rows, pivots, range(n, 2 * n))
+    return LaurentMatrix(m.ctx, [[x[i] for x in cols] for i in range(n)])
 
 
 def determinant(m):
+    """Signed product of the pivots; an exact zero when the rank is short."""
     if m.rows != m.cols:
         raise InputError("determinant of non-square matrix")
-    n = m.rows
-    work = [list(row) for row in m.entries]
-    sign = 1
+    pivots = _certain_pivots([list(row) for row in m.entries], m.cols)
+    if len(pivots) < m.rows:
+        return TruncatedLaurent.zero(m.ctx)
     acc = TruncatedLaurent.from_scalar(m.ctx.one)
-    used_rows, used_cols = set(), set()
-    order = []
-    for _ in range(n):
-        # pending (zero-to-precision) entries raise inside the picker, so a
-        # missing pivot means a structurally singular matrix
-        got = _pick_pivot(work, used_rows, used_cols, n, n)
-        if got is None:
-            return TruncatedLaurent.zero(m.ctx)
-        _, pi, pj = got
-        used_rows.add(pi)
-        used_cols.add(pj)
-        order.append((pi, pj))
-        piv = work[pi][pj]
+    for _, _, piv in pivots:
         acc = acc * piv
-        inv = piv.invert()
-        for i in range(n):
-            if i not in used_rows and work[i][pj].coeffs:
-                f = work[i][pj] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[pi])]
-    # permutation sign
-    rows = [pi for pi, _ in order]
-    cols = [pj for _, pj in order]
-    sign = _perm_sign(rows) * _perm_sign(cols)
+    sign = _perm_sign([r for r, _, _ in pivots]) * _perm_sign([c for _, c, _ in pivots])
     return acc if sign == 1 else acc * m.ctx.rational(-1)
 
 
@@ -273,68 +283,28 @@ def _perm_sign(seq):
     return sign
 
 
-def column_echelon(m):
-    """Column echelon over the series field.
-
-    Returns (rank, transform R, reduced) with m * R = reduced, the last
-    (cols - rank) columns of `reduced` vanishing (exactly, or to precision;
-    `certified` is True when they vanish structurally or the matrix entries
-    are exact).
-    """
-    n, c = m.rows, m.cols
-    work = [list(row) for row in m.entries]
-    trans = [list(row) for row in LaurentMatrix.identity(m.ctx, c).entries]
-    used_rows, used_cols = set(), set()
-    pivots = []
-    saw_pending = False
-    while True:
-        got, pending = _pick_pivot(work, used_rows, used_cols, n, c, strict=False)
-        if got is None:
-            saw_pending = pending
-            break
-        _, pi, pj = got
-        used_rows.add(pi)
-        used_cols.add(pj)
-        pivots.append((pi, pj))
-        inv = work[pi][pj].invert()
-        for j in range(c):
-            if j != pj and work[pi][j].coeffs:
-                f = work[pi][j] * inv
-                for i in range(n):
-                    work[i][j] = work[i][j] - work[i][pj] * f
-                for i in range(c):
-                    trans[i][j] = trans[i][j] - trans[i][pj] * f
-    rank = len(pivots)
-    pivot_cols = {pj for _, pj in pivots}
-    free_cols = [j for j in range(c) if j not in pivot_cols]
-    certified = not saw_pending and all(
-        work[i][j].is_exact_zero() for j in free_cols for i in range(n)
-    )
-    # order transform columns: pivot columns first, then kernel columns
-    cols_order = [pj for _, pj in pivots] + free_cols
-    R = LaurentMatrix(m.ctx, [[trans[i][j] for j in cols_order] for i in range(c)])
-    red = LaurentMatrix(m.ctx, [[work[i][j] for j in cols_order] for i in range(n)])
-    return rank, R, red, certified
-
-
 def kernel_basis(m):
-    """Basis of the right kernel over the series field (saturated)."""
-    rank, R, red, certified = column_echelon(m)
+    """Basis of the right kernel over the series field, saturated.
+
+    Returns (basis, certified).  Each vector has 1 at its free column, and
+    its other entries lie in K[[z]]: a pivot of least valuation divides
+    every entry of its row that the back-substitution reads, so the
+    back-substitution never leaves the power-series ring.  certified is True when every entry left over in the
+    non-pivot rows and columns is an exact zero, so that the rank is exact;
+    the entries cleared from the pivot columns vanish by construction and
+    certify nothing."""
+    rows = [list(row) for row in m.entries]
+    pivots, pending = _eliminate(rows, m.cols)
+    pivot_cols = {c for _, c, _ in pivots}
+    free = [j for j in range(m.cols) if j not in pivot_cols]
+    if not free:
+        return [], not pending
+    zero = TruncatedLaurent.zero(m.ctx)
+    one = TruncatedLaurent.from_scalar(m.ctx.one)
     out = []
-    for j in range(rank, m.cols):
-        vec = [R.entries[i][j] for i in range(m.cols)]
-        out.append(_saturate(m.ctx, vec))
-    return out, certified
-
-
-def _saturate(ctx, vec):
-    """Scale a series vector so entries lie in the power-series ring with a
-    unit somewhere (primitive lattice vector)."""
-    vals = [e.val for e in vec if e.coeffs]
-    if not vals:
-        return vec
-    v = min(vals)
-    return [e.shift(-v) for e in vec]
+    for f, x in zip(free, _back_substitute(rows, pivots, free)):
+        out.append([-x[j] if j in x else (one if j == f else zero) for j in range(m.cols)])
+    return out, not pending
 
 
 def charpoly(m):
@@ -342,84 +312,20 @@ def charpoly(m):
     return linalg.charpoly(m.entries, TruncatedLaurent.from_scalar(m.ctx.one))
 
 
-# ----------------------------------------------------------------------
-# Smith normal form over the power-series ring
-# ----------------------------------------------------------------------
-
-
 def smith_normal_form(m):
-    """Smith normal form over K[[z]].
+    """Invariant factors of m over K[[z]]: z^{d_1}, ..., z^{d_r} with
+    d_1 <= d_2 <= ..., as exact monomial series.
 
-    Entries must have nonnegative valuation.  Returns (invariants, L, R)
-    with L*m*R = diag(z^{d_1}, ..., z^{d_r}), d_1 <= d_2 <= ..., and L, R
-    invertible over the power-series ring at the working precision.  The
-    invariants are returned as exact monomial series z^{d_i}.
-
-    Raises PrecisionExhausted when an invariant factor cannot be certified
-    at the working precision (never guesses).
+    Entries must have nonnegative valuation.  The exponents are the pivot
+    valuations of _eliminate.  Raises PrecisionExhausted when an invariant
+    factor cannot be certified at the working precision (never guesses).
     """
-    ctx = m.ctx
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise InputError("Smith normal form expects a power-series matrix")
-    n, c = m.rows, m.cols
-    work = [list(row) for row in m.entries]
-    L = [list(row) for row in LaurentMatrix.identity(ctx, n).entries]
-    R = [list(row) for row in LaurentMatrix.identity(ctx, c).entries]
-    exponents = []
-    t = 0
-    while t < min(n, c):
-        best = None
-        pending = False
-        for i in range(t, n):
-            for j in range(t, c):
-                e = work[i][j]
-                if e.coeffs:
-                    if best is None or e.val < best[0]:
-                        best = (e.val, i, j)
-                elif not e.exact:
-                    pending = True
-        if best is None:
-            if pending:
-                raise PrecisionExhausted(
-                    "cannot certify invariant factor: remaining entries vanish "
-                    "to precision only"
-                )
-            break  # exact zero block: remaining invariants are 0
-        d, pi, pj = best
-        if pi != t:
-            work[t], work[pi] = work[pi], work[t]
-            L[t], L[pi] = L[pi], L[t]
-        if pj != t:
-            for row in work:
-                row[t], row[pj] = row[pj], row[t]
-            for row in R:
-                row[t], row[pj] = row[pj], row[t]
-        # normalize pivot to exactly z^d: divide the row by the unit part
-        unit = work[t][t].shift(-d)  # valuation 0, unit
-        unit_inv = unit.invert()
-        work[t] = [e * unit_inv for e in work[t]]
-        L[t] = [e * unit_inv for e in L[t]]
-        work[t][t] = TruncatedLaurent.monomial(ctx, ctx.one, d)
-        # clear the column
-        for i in range(n):
-            if i != t and work[i][t].coeffs:
-                f = work[i][t].shift(-d)  # in K[[z]] since d is minimal
-                work[i] = [a - f * b for a, b in zip(work[i], work[t])]
-                L[i] = [a - f * b for a, b in zip(L[i], L[t])]
-        # clear the row
-        for j in range(c):
-            if j != t and work[t][j].coeffs:
-                f = work[t][j].shift(-d)
-                for i in range(n):
-                    work[i][j] = work[i][j] - work[i][t] * f
-                for i in range(c):
-                    R[i][j] = R[i][j] - R[i][t] * f
-        exponents.append(d)
-        t += 1
-    invariants = [TruncatedLaurent.monomial(ctx, ctx.one, d) for d in sorted(exponents)]
-    # exponents come out weakly increasing already (min-val pivoting); sort is a no-op
-    return invariants, LaurentMatrix(ctx, L), LaurentMatrix(ctx, R)
+    pivots = _certain_pivots([list(row) for row in m.entries], m.cols)
+    ctx = m.ctx
+    return [TruncatedLaurent.monomial(ctx, ctx.one, d) for d in sorted(p.val for _, _, p in pivots)]
 
 
 # ----------------------------------------------------------------------

@@ -206,7 +206,7 @@ def degree_crosscheck(data, w, N=DEFAULT_PRECISION):
             mv = Mhat.min_valuation()
             if mv is None or mv < 0:
                 raise InputError("map is not lattice-preserving (level error)")
-            invs, _L2, _R2 = smith_normal_form(Mhat.truncate(N))
+            invs = smith_normal_form(Mhat.truncate(N))
             d_sum = sum(inv.val for inv in invs)
             det_val = determinant(M.truncate(N)).valuation()
             if det_val is None:

@@ -7,6 +7,10 @@ the functions it wraps by string).  Dunder methods are exempt.
 
 Every name a module of nahmkit imports (apart from `__init__.py`, which
 re-exports, and `__future__` features) is used as a name in that module.
+
+Every name a function of nahmkit binds is read somewhere in that function,
+its nested functions and comprehensions included.  Names starting with `_`
+are exempt, so a value that must be unpacked but is not needed is `_`.
 """
 
 import ast
@@ -73,3 +77,41 @@ def test_every_import_is_used():
         if path.name != "__init__.py":
             unused |= _unused_imports(path)
     assert not unused, f"imported names the module never uses: {sorted(unused)}"
+
+
+def _dead_locals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    dead = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, scopes):
+            continue
+        # names bound in this function's own body; nested functions and
+        # classes are scopes of their own
+        bound = {}
+        stack = list(ast.iter_child_nodes(fn))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (*scopes, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.setdefault(node.id, node.lineno)
+            stack.extend(ast.iter_child_nodes(node))
+        read = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        dead |= {
+            f"{path.name}:{line}:{name}:{var}"
+            for var, line in bound.items()
+            if not var.startswith("_") and var not in read
+        }
+    return dead
+
+
+def test_every_local_is_read():
+    dead = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        dead |= _dead_locals(path)
+    assert not dead, f"local names bound and never read: {sorted(dead)}"

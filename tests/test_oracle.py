@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from nahmkit import linalg, oracle
+from nahmkit import linalg, lmatrix, oracle
 from nahmkit.errors import PrecisionExhausted
 from nahmkit.field import FieldContext
 from nahmkit.higgs import ElementaryBlock, HiggsGerm
@@ -36,14 +36,18 @@ SUITE_SHAPES = [(1, 0), (1, 1), (2, 1), (1, 2), (3, 1), (3, 2), (2, 3), (1, 3),
                 (4, 1), (1, 4), (5, 1)]
 
 
-def suite_complex(ctx, shape):
+def suite_germ(ctx, shape):
     p, m = shape
     a = ctx.sym("a")
     if m == 0:
         b = ElementaryBlock.make(ctx, 1, 0, alpha=a, weights=(F(-1, 6),))
     else:
         b = ElementaryBlock.make(ctx, p, m, lead=a, weights=(F(-2, 5),))
-    return complex_of(ctx, [b])
+    return HiggsGerm.from_blocks(ctx, [b])
+
+
+def suite_complex(ctx, shape):
+    return build_local_complex(suite_germ(ctx, shape))
 
 
 def test_tame_generic(ctx):
@@ -186,3 +190,33 @@ def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch)
         calls.update(rref=0, realize=0)
         assert truncated_cokernel(c, (w, None), 24)[0::2] == (0, True)
         assert calls == {"rref": 0, "realize": len(c.parts)}, shape
+
+
+def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypatch):
+    """Count-only guard: on each suite shape at N = 24, truncated_cokernel
+    eliminates once per part over the series field (the module kernel) and
+    degree_crosscheck twice (the Smith form and the determinant); neither
+    back-substitutes."""
+    calls = {"_eliminate": 0, "_back_substitute": 0}
+
+    def counting(name):
+        fn = getattr(lmatrix, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(lmatrix, name, counting(name))
+    w = ctx.sym("w")
+    pt = TorusPoint("T_dual", F(1, 3), 0, is_lift=True)
+    for shape in SUITE_SHAPES:
+        germ = suite_germ(ctx, shape)
+        parts = len(build_local_complex(germ).parts)
+        calls.update(_eliminate=0, _back_substitute=0)
+        assert truncated_cokernel(build_local_complex(germ), (w, None), 24)[0::2] == (0, True)
+        assert calls == {"_eliminate": parts, "_back_substitute": 0}, shape
+        calls.update(_eliminate=0)
+        assert degree_crosscheck(AdmissibleHiggsData(ctx, [SingularPoint(pt, germ)]), w, 24)
+        assert calls == {"_eliminate": 2 * parts, "_back_substitute": 0}, shape
