@@ -165,9 +165,12 @@ def _eliminate(rows, ncols):
 
     Each step scans the unused rows and the first `ncols` unused columns row
     by row, takes the first entry of strictly least valuation as the pivot
-    and clears its column from the unused rows.  Returns (pivots, pending):
-    the pivots (row, col, entry) in the order taken, and whether an entry
-    left over vanishes only to the working precision.
+    and clears its column from the unused rows, also where the entry there
+    vanishes only to precision, so that the uncertainty moves into the rest
+    of the row.  A cleared entry is stored as an exact zero without being
+    computed.  Returns (pivots, pending): the pivots (row, col, entry,
+    inverse or None) in the order taken, and whether an entry left over
+    vanishes only to the working precision.
 
     Over K[[z]] a pivot of least valuation makes every row operation
     unimodular, so the pivot valuations are the Smith invariant exponents.
@@ -195,13 +198,19 @@ def _eliminate(rows, ncols):
         used_rows.add(pi)
         used_cols.add(pj)
         piv = rows[pi][pj]
-        pivots.append((pi, pj, piv))
-        targets = [i for i, row in enumerate(rows) if i not in used_rows and row[pj].coeffs]
-        if targets:
-            inv = piv.invert()
-            for i in targets:
-                f = rows[i][pj] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pi])]
+        targets = [
+            i for i, row in enumerate(rows)
+            if i not in used_rows and not row[pj].is_exact_zero()
+        ]
+        inv = piv.invert() if targets else None
+        pivots.append((pi, pj, piv, inv))
+        zero = TruncatedLaurent.zero(piv.ctx)
+        for i in targets:
+            f = rows[i][pj] * inv
+            rows[i] = [
+                zero if j == pj else a - f * b
+                for j, (a, b) in enumerate(zip(rows[i], rows[pi]))
+            ]
 
 
 def _certain_pivots(rows, ncols):
@@ -221,11 +230,11 @@ def _back_substitute(rows, pivots, rhs):
     Returns, per t, {pivot column c: x_c} with sum_c rows[r][c] x_c equal
     to rows[r][t] on every pivot row r.  A pivot row's entries in the
     columns of earlier pivots vanish by construction and are not read."""
-    invs = [piv.invert() for _, _, piv in pivots]
+    invs = [piv.invert() if inv is None else inv for _, _, piv, inv in pivots]
     out = []
     for t in rhs:
         x = {}
-        for (r, c, _), inv in zip(reversed(pivots), reversed(invs)):
+        for (r, c, _, _), inv in zip(reversed(pivots), reversed(invs)):
             row = rows[r]
             acc = row[t]
             for c2, v in x.items():
@@ -258,9 +267,9 @@ def determinant(m):
     if len(pivots) < m.rows:
         return TruncatedLaurent.zero(m.ctx)
     acc = TruncatedLaurent.from_scalar(m.ctx.one)
-    for _, _, piv in pivots:
+    for _, _, piv, _ in pivots:
         acc = acc * piv
-    sign = _perm_sign([r for r, _, _ in pivots]) * _perm_sign([c for _, c, _ in pivots])
+    sign = _perm_sign([p[0] for p in pivots]) * _perm_sign([p[1] for p in pivots])
     return acc if sign == 1 else acc * m.ctx.rational(-1)
 
 
@@ -289,13 +298,14 @@ def kernel_basis(m):
     Returns (basis, certified).  Each vector has 1 at its free column, and
     its other entries lie in K[[z]]: a pivot of least valuation divides
     every entry of its row that the back-substitution reads, so the
-    back-substitution never leaves the power-series ring.  certified is True when every entry left over in the
-    non-pivot rows and columns is an exact zero, so that the rank is exact;
-    the entries cleared from the pivot columns vanish by construction and
-    certify nothing."""
+    back-substitution never leaves the power-series ring.  certified is True
+    when every entry left over in the non-pivot rows and columns is an exact
+    zero, so that the rank is exact; the entries cleared from the pivot
+    columns, also those that vanished there only to precision, vanish by
+    construction and certify nothing."""
     rows = [list(row) for row in m.entries]
     pivots, pending = _eliminate(rows, m.cols)
-    pivot_cols = {c for _, c, _ in pivots}
+    pivot_cols = {p[1] for p in pivots}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     if not free:
         return [], not pending
@@ -325,7 +335,7 @@ def smith_normal_form(m):
         raise InputError("Smith normal form expects a power-series matrix")
     pivots = _certain_pivots([list(row) for row in m.entries], m.cols)
     ctx = m.ctx
-    return [TruncatedLaurent.monomial(ctx, ctx.one, d) for d in sorted(p.val for _, _, p in pivots)]
+    return [TruncatedLaurent.monomial(ctx, ctx.one, d) for d in sorted(p[2].val for p in pivots)]
 
 
 # ----------------------------------------------------------------------

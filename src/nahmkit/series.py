@@ -103,9 +103,10 @@ class TruncatedLaurent:
     def __add__(self, other):
         self._align(other)
         prec = min(self.eff_prec(), other.eff_prec())
-        if not self.coeffs and self.exact:
+        # a zero, exact or to precision, adds nothing but its precision
+        if not self.coeffs:
             return other.truncate(prec)
-        if not other.coeffs and other.exact:
+        if not other.coeffs:
             return self.truncate(prec)
         lo = min(self.val if self.coeffs else 0, other.val if other.coeffs else 0)
         hi_bound = prec if prec != math.inf else max(

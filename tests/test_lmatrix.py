@@ -401,7 +401,11 @@ def test_a_leftover_known_only_to_precision_is_never_used(tctx):
     ragged = LaurentMatrix(tctx, [[one_, zero], [zero, TL.zero(tctx, prec=3, exact=False)]])
     # exact, but clearing by 1/(1 + z) leaves the second row zero to precision
     cancelled = LaurentMatrix(tctx, [[unit, one_], [unit, one_]])
-    for m in (ragged, cancelled):
+    # the pivot column's O(z^3) must be cleared too: the matrix may be
+    # [[1, 1], [z^5, z^5]], which is singular
+    z5 = TL.monomial(tctx, tctx.one, 5)
+    mixed = LaurentMatrix(tctx, [[one_, one_], [TL.zero(tctx, prec=3, exact=False), z5]])
+    for m in (ragged, cancelled, mixed):
         for routine in (determinant, invert_matrix, smith_normal_form):
             with pytest.raises(PrecisionExhausted):
                 routine(m)

@@ -96,6 +96,18 @@ def test_addition_cancellation_shifts_valuation(ctx):
     assert s.val == 1 and s.coeffs[0].as_fraction() == 2
 
 
+def test_adding_a_zero_to_precision_only_truncates(ctx):
+    s = TL(ctx, 1, (ctx.one, ctx.rational(2), ctx.rational(3)), exact=True)
+    for p, kept in ((2, 1), (3, 2), (9, 3), (0, 0)):
+        z = TL.zero(ctx, prec=p, exact=False)
+        for out in (s + z, z + s, s - z, z - s):
+            assert not out.exact and out.prec == p
+            assert [abs(c.as_fraction()) for c in out.coeffs] == [1, 2, 3][:kept]
+    # two zeros keep the lower precision
+    a, b = TL.zero(ctx, prec=2, exact=False), TL.zero(ctx, prec=5, exact=False)
+    assert (a + b).prec == (b - a).prec == 2 and (a + b).is_zero()
+
+
 def test_series_ring_laws_randomized(ctx):
     import random
 
