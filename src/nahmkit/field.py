@@ -555,6 +555,11 @@ class Scalar:
 
     def __add__(self, other):
         other = self._check(other)
+        # canonical and immutable: a zero summand returns the other one as is
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         ctx = self.ctx
         cf = ctx.cyc
         unit = ctx.unit

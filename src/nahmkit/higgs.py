@@ -455,6 +455,14 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
     series coefficients (descending lists; coeffs[0] must be exactly 1 and
     all coefficients in K[[z]]).
 
+    The lift finds one z-slice of F and of G per power of z.  Step n sums
+    the products F[a] * G[n - a] over the 0 < a < n where both slices are
+    nonzero, and adds only the nonzero entries of each product: on the
+    germ path the input coefficients are series in z^p, so most slices
+    vanish.  A zero residual gives zero slices without a solve, since zero
+    is the only solution of f0 * dG + g0 * dF = 0 with deg dG < r2 and
+    deg dF < r1.
+
     Returns (F, G) as descending lists of series known modulo z^prec.
     """
     r = len(coeffs) - 1
@@ -474,15 +482,20 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
 
     F = [_pad(ctx, f0, r1)]  # F[n]: scalar list (padded, descending) at z^n
     G = [_pad(ctx, g0, r2)]
+    F_nz, G_nz = [], set()  # the n >= 1 with F[n], resp. G[n], nonzero
     for n in range(1, prec):
         acc = [ctx.zero] * (r + 1)
-        for a in range(1, n):
-            prod = linalg.poly_mul(ctx, F[a], G[n - a])
-            off = (r + 1) - len(prod)
-            for i, x in enumerate(prod):
-                acc[off + i] = acc[off + i] + x
-        target = c_at(n)
-        R = linalg.poly_trim([t - s for t, s in zip(target, acc)])
+        for a in F_nz:
+            if n - a in G_nz:
+                # both factors are padded, so the product has length r + 1
+                for i, x in enumerate(linalg.poly_mul(ctx, F[a], G[n - a])):
+                    if not x.is_zero():
+                        acc[i] = acc[i] + x
+        R = linalg.poly_trim([t - s for t, s in zip(c_at(n), acc)])
+        if len(R) == 1 and R[0].is_zero():
+            F.append([ctx.zero] * (r1 + 1))
+            G.append([ctx.zero] * (r2 + 1))
+            continue
         # solve f0 * dG + g0 * dF = R with deg dG < r2, deg dF < r1
         uR = linalg.poly_mul(ctx, u, R)
         _, dG = linalg.poly_divmod(ctx, uR, g0)
@@ -492,6 +505,10 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
             raise PrecisionExhausted("Hensel correction not exact")
         F.append(_pad(ctx, dF, r1))
         G.append(_pad(ctx, dG, r2))
+        if not all(x.is_zero() for x in F[n]):
+            F_nz.append(n)
+        if not all(x.is_zero() for x in G[n]):
+            G_nz.add(n)
     Fs = [
         TruncatedLaurent(ctx, 0, [F[n][i] for n in range(len(F))], prec=prec)
         for i in range(r1 + 1)
@@ -940,18 +957,24 @@ def _scalar_nth_root(x, n):
     if cur == ctx.one:
         return ctx.one
     q = cur.as_fraction()
-    if q is not None and q != 0:
-        num, den = q.numerator, q.denominator
-        rn = round(abs(num) ** (1.0 / n))
-        rd = round(den ** (1.0 / n))
-        for dn in (rn - 1, rn, rn + 1):
-            for dd in (rd - 1, rd, rd + 1):
-                if dn > 0 and dd > 0 and dn ** n == abs(num) and dd ** n == den:
-                    if num < 0 and n % 2 == 0:
-                        continue
-                    sign = 1 if num > 0 else -1
-                    return ctx.rational(Fraction(sign * dn, dd))
+    if q is not None:
+        # n is odd here, so a negative rational has the negated root
+        rn, rd = _int_root(abs(q.numerator), n), _int_root(q.denominator, n)
+        if rn is not None and rd is not None:
+            return ctx.rational(Fraction(rn if q > 0 else -rn, rd))
     return None
+
+
+def _int_root(a, n):
+    """The integer n-th root of a >= 1 if a is an exact n-th power, else
+    None.  Integer Newton from a start above the root decreases to the
+    floor of the root."""
+    x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x if x ** n == a else None
+        x = y
 
 
 def _upstairs_weights(down_weights, p):

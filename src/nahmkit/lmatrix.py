@@ -11,9 +11,10 @@ division-free (Berkowitz) routine, which serves series entries as it
 serves Scalar ones.
 
 Certification discipline: a pivot that is zero to the working precision but
-not exactly zero can never be used silently; such situations raise
-PrecisionExhausted (kernel_basis reports its basis uncertified instead) so
-the caller can retry with a larger N.
+not exactly zero can never be used silently, nor, where the Smith form or a
+kernel reads pivot valuations, a pivot that such an entry may undercut;
+such situations raise PrecisionExhausted (kernel_basis reports its basis
+uncertified instead) so the caller can retry with a larger N.
 """
 
 from __future__ import annotations
@@ -168,18 +169,23 @@ def _eliminate(rows, ncols):
     and clears its column from the unused rows, also where the entry there
     vanishes only to precision, so that the uncertainty moves into the rest
     of the row.  A cleared entry is stored as an exact zero without being
-    computed.  Returns (pivots, pending): the pivots (row, col, entry,
-    inverse or None) in the order taken, and whether an entry left over
-    vanishes only to the working precision.
+    computed.  Returns (pivots, pending, undercut): the pivots (row, col,
+    entry, inverse or None) in the order taken, whether an entry left over
+    vanishes only to the working precision, and whether some pivot was
+    taken while the scan held an entry zero modulo z^p with p below the
+    pivot's valuation.  Such an entry may have the lower valuation, and if
+    it sits in the pivot row it is never scanned again.
 
     Over K[[z]] a pivot of least valuation makes every row operation
-    unimodular, so the pivot valuations are the Smith invariant exponents.
+    unimodular, so without undercut the pivot valuations are the Smith
+    invariant exponents.
     """
     used_rows, used_cols = set(), set()
     pivots = []
+    undercut = False
     while True:
         best = None
-        pending = False
+        unknown = math.inf  # least p of an entry zero modulo z^p in the scan
         for i, row in enumerate(rows):
             if i in used_rows:
                 continue
@@ -190,10 +196,12 @@ def _eliminate(rows, ncols):
                 if e.coeffs:
                     if best is None or e.val < best[0]:
                         best = (e.val, i, j)
-                elif not e.exact:
-                    pending = True
+                elif not e.exact and e.prec < unknown:
+                    unknown = e.prec
         if best is None:
-            return pivots, pending
+            return pivots, unknown < math.inf, undercut
+        if unknown < best[0]:
+            undercut = True
         _, pi, pj = best
         used_rows.add(pi)
         used_cols.add(pj)
@@ -213,13 +221,19 @@ def _eliminate(rows, ncols):
             ]
 
 
-def _certain_pivots(rows, ncols):
-    """_eliminate for the routines that cannot report an uncertified rank."""
-    pivots, pending = _eliminate(rows, ncols)
+def _certain_pivots(rows, ncols, least=False):
+    """_eliminate for the routines that cannot report an uncertified rank;
+    with least, also for one that reads the pivot valuations."""
+    pivots, pending, undercut = _eliminate(rows, ncols)
     if pending:
         raise PrecisionExhausted(
             "all remaining entries vanish to the working precision but are "
             "not structural zeros; raise the precision"
+        )
+    if least and undercut:
+        raise PrecisionExhausted(
+            "an entry zero only to the working precision may have lower "
+            "valuation than a pivot; raise the precision"
         )
     return pivots
 
@@ -300,11 +314,12 @@ def kernel_basis(m):
     every entry of its row that the back-substitution reads, so the
     back-substitution never leaves the power-series ring.  certified is True
     when every entry left over in the non-pivot rows and columns is an exact
-    zero, so that the rank is exact; the entries cleared from the pivot
-    columns, also those that vanished there only to precision, vanish by
-    construction and certify nothing."""
+    zero, so that the rank is exact, and, when there are vectors, every
+    pivot certainly has least valuation, so that they lie in K[[z]]; the
+    entries cleared from the pivot columns, also those that vanished there
+    only to precision, vanish by construction and certify nothing."""
     rows = [list(row) for row in m.entries]
-    pivots, pending = _eliminate(rows, m.cols)
+    pivots, pending, undercut = _eliminate(rows, m.cols)
     pivot_cols = {p[1] for p in pivots}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     if not free:
@@ -314,7 +329,7 @@ def kernel_basis(m):
     out = []
     for f, x in zip(free, _back_substitute(rows, pivots, free)):
         out.append([-x[j] if j in x else (one if j == f else zero) for j in range(m.cols)])
-    return out, not pending
+    return out, not (pending or undercut)
 
 
 def charpoly(m):
@@ -333,7 +348,7 @@ def smith_normal_form(m):
     mv = m.min_valuation()
     if mv is not None and mv < 0:
         raise InputError("Smith normal form expects a power-series matrix")
-    pivots = _certain_pivots([list(row) for row in m.entries], m.cols)
+    pivots = _certain_pivots([list(row) for row in m.entries], m.cols, least=True)
     ctx = m.ctx
     return [TruncatedLaurent.monomial(ctx, ctx.one, d) for d in sorted(p[2].val for p in pivots)]
 

@@ -315,6 +315,18 @@ def test_direct_inverse_is_what_reduction_gives(M, symbols):
         ctx.zero.inverse()
 
 
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_adding_zero_returns_the_other_summand(M, symbols):
+    ctx = FieldContext(M=M, symbols=symbols)
+    rng = random.Random(300 + M + len(symbols))
+    for kind in OPERAND_KINDS:
+        for _ in range(4):
+            x = _operand(ctx, rng, kind)
+            for got in (x + 0, 0 + x, x + ctx.zero, ctx.zero + x):
+                assert (got.num, got.den) == (x.num, x.den), (kind, x)
+    assert ctx.zero + ctx.zero == ctx.zero
+
+
 # -- residues modulo a word-size prime --
 
 

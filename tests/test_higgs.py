@@ -1,9 +1,11 @@
 """Higgs germ classification: slope certificates, decompositions, goodness."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from nahmkit import linalg
 from nahmkit.errors import FieldExtensionRequired, InputError, NotAdmissible
 from nahmkit.field import FieldContext
 from nahmkit.filtered import FilteredLattice
@@ -14,7 +16,9 @@ from nahmkit.higgs import (
     candidate_types,
     endo_germ_wrap,
     germ_newton_slopes,
+    _scalar_nth_root,
     goodness_decomposition,
+    hensel_split,
     realize,
     slope_check,
     slope_decomposition,
@@ -303,3 +307,101 @@ def test_field_extension_surface(ctx):
     g = HiggsGerm.from_matrix(FilteredLattice(ctx, [F(0), F(0)]), A)
     with pytest.raises(FieldExtensionRequired):
         type_decomposition(g)
+
+
+# -- the sparse Hensel lift --
+
+
+def _linear_factors(ctx, roots):
+    out = [ctx.one]
+    for x in roots:
+        out = linalg.poly_mul(ctx, out, [ctx.one, -x])
+    return out
+
+
+def _dense_scalar(ctx, rng):
+    """A nonzero element of Q(zeta_12) with several coordinates."""
+    while True:
+        x = sum((ctx.rational(F(rng.randint(-3, 3), rng.randint(1, 2))) * ctx.zeta(12, k)
+                 for k in range(4)), ctx.zero)
+        if not x.is_zero():
+            return x
+
+
+def _lift_input(ctx, f0, g0, slices, prec, rng):
+    """Monic coefficients with f0 * g0 at z^0, dense slices at the powers in
+    `slices` and zeros elsewhere, known modulo z^prec."""
+    base = linalg.poly_mul(ctx, f0, g0)
+    return [TL.from_scalar(ctx.one)] + [
+        TL(ctx, 0, [c] + [_dense_scalar(ctx, rng) if n in slices else ctx.zero
+                          for n in range(1, prec)], prec=prec)
+        for c in base[1:]
+    ]
+
+
+@pytest.mark.parametrize("seed, r1, r2", [(0, 1, 2), (1, 2, 2), (2, 2, 1), (3, 3, 1)])
+def test_hensel_lift_is_the_factorization(seed, r1, r2):
+    """F * G reproduces the input modulo z^prec, F and G reduce to f0 and g0
+    mod z and stay monic of degrees r1 and r2; the lift is unique, so this
+    checks it fully."""
+    ctx = FieldContext(M=12, symbols=())
+    rng = random.Random(seed)
+    roots = rng.sample([ctx.zeta(12, k) for k in range(12)], r1 + r2)
+    f0, g0 = _linear_factors(ctx, roots[:r1]), _linear_factors(ctx, roots[r1:])
+    prec = 12
+    # no slice at z^1, z^2: the residual vanishes there and not at z^3
+    coeffs = _lift_input(ctx, f0, g0, {3, 4, 7}, prec, rng)
+    Fs, Gs = hensel_split(ctx, coeffs, f0, g0, prec)
+    assert (len(Fs), len(Gs)) == (r1 + 1, r2 + 1)
+    for series, f in ((Fs, f0), (Gs, g0)):
+        assert [c.coeff(0) for c in series] == f
+        assert all(series[0].coeff(n).is_zero() for n in range(1, prec))
+    for k in range(len(coeffs)):
+        prod = sum((Fs[i] * Gs[k - i] for i in range(max(0, k - r2), min(k, r1) + 1)),
+                   TL.zero(ctx))
+        assert prod.eff_prec() >= prec and prod.agrees_with(coeffs[k], prec), k
+    nonzero = [n for n in range(prec)
+               if any(not c.coeff(n).is_zero() for c in Fs + Gs)]
+    assert nonzero[:2] == [0, 3] and len(nonzero) > 3
+
+
+def test_hensel_lift_with_one_nonzero_slice_is_linear(monkeypatch):
+    """On the germ path F has only its z^0 slice: the lift makes O(prec)
+    polynomial products, not one per pair of slices."""
+    ctx = FieldContext(M=12, symbols=())
+    rng = random.Random(5)
+    f0 = _linear_factors(ctx, [ctx.one])
+    g0 = _linear_factors(ctx, [ctx.zeta(12, 1), ctx.zeta(12, 5)])
+    prec = 60
+    g = [[_dense_scalar(ctx, rng) for _ in g0[1:]] for _ in range(2)]
+    # f0 * (g0 + z^3 g3 + z^7 g7): the lift is F = f0
+    coeffs = [TL.from_scalar(ctx.one)] + [
+        TL(ctx, 0, [c] + [ctx.zero] * (prec - 1), prec=prec)
+        for c in linalg.poly_mul(ctx, f0, g0)[1:]
+    ]
+    for n, gn in zip((3, 7), g):
+        for i, c in enumerate(linalg.poly_mul(ctx, f0, [ctx.zero] + gn)[1:], start=1):
+            coeffs[i] = coeffs[i] + TL.monomial(ctx, c, n)
+    calls = [0]
+    poly_mul = linalg.poly_mul
+
+    def counted(*args):
+        calls[0] += 1
+        return poly_mul(*args)
+
+    monkeypatch.setattr(linalg, "poly_mul", counted)
+    Fs, Gs = hensel_split(ctx, coeffs, f0, g0, prec)
+    monkeypatch.undo()
+    assert all(c.coeff(n).is_zero() for c in Fs for n in range(1, prec))
+    assert [Gs[i].coeff(3) for i in range(1, 3)] == g[0]
+    assert calls[0] <= 2 * prec, calls[0]
+
+
+def test_scalar_nth_root_is_exact():
+    ctx = FieldContext(M=12, symbols=())
+    big = 10 ** 20 + 7
+    assert _scalar_nth_root(ctx.rational(big ** 3), 3) == ctx.rational(big)
+    assert _scalar_nth_root(ctx.rational(F(-big ** 3, 8)), 3) == ctx.rational(F(-big, 2))
+    assert _scalar_nth_root(ctx.rational(3 ** 2000), 5) == ctx.rational(3 ** 400)
+    assert _scalar_nth_root(ctx.rational(3 ** 2000), 3) is None
+    assert _scalar_nth_root(ctx.rational(3 ** 2000 + 1), 5) is None

@@ -411,3 +411,36 @@ def test_a_leftover_known_only_to_precision_is_never_used(tctx):
                 routine(m)
         basis, certified = kernel_basis(m)
         assert len(basis) == 1 and not certified
+
+
+
+def _undercut_cases(ctx):
+    z = lambda e: TL.monomial(ctx, ctx.one, e)  # noqa: E731
+    o3 = TL.zero(ctx, prec=3, exact=False)  # may be z^3, below both pivots
+    row = LaurentMatrix(ctx, [[z(5), o3]])
+    square = LaurentMatrix(ctx, [[z(5), o3], [TL.zero(ctx), z(4)]])
+    return z, o3, row, square
+
+
+@pytest.mark.parametrize("case", ["smith-row", "kernel-row", "smith-square"])
+def test_a_pivot_a_zero_to_precision_may_undercut_is_flagged(tctx, case):
+    _, _, row, square = _undercut_cases(tctx)
+    if case == "kernel-row":
+        basis, certified = kernel_basis(row)
+        assert len(basis) == 1 and not certified
+    else:
+        with pytest.raises(PrecisionExhausted):
+            smith_normal_form(row if case == "smith-row" else square)
+
+
+def test_an_undercut_leaves_the_determinant_and_ties_alone(tctx):
+    z, o3, _, square = _undercut_cases(tctx)
+    # the determinant reads no valuation order: z^5 * z^4 either way
+    det = determinant(square)
+    assert det.exact and (det.val, det.coeffs) == (9, (tctx.one,))
+    # a series zero modulo z^p has valuation at least p, so p equal to the
+    # pivot's valuation cannot undercut it
+    tie = LaurentMatrix(tctx, [[z(3), o3]])
+    assert [e.val for e in smith_normal_form(tie)] == [3]
+    basis, certified = kernel_basis(tie)
+    assert len(basis) == 1 and certified
