@@ -12,7 +12,7 @@ Documents are UTF-8 JSON (see schema.py); exit codes are stable:
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 
@@ -54,7 +54,7 @@ def _read_document(path):
 def _emit(obj, fmt, out=None):
     out = out if out is not None else sys.stdout
     if fmt == "json":
-        print(json.dumps(obj, indent=2), file=out)
+        print(schema.json_text(obj), file=out)
     else:
         _emit_text(obj, out)
 
@@ -154,9 +154,8 @@ def cmd_transform(args):
         "precision": doc.get("precision"),
     }
     if args.format == "json":
-        print(json.dumps(
-            {"document": schema.document_to_json(out_doc), "report": report.to_dict()},
-            indent=2,
+        print(schema.json_text(
+            {"document": schema.document_to_json(out_doc), "report": report.to_dict()}
         ))
     else:
         print(report.to_text())
@@ -221,7 +220,7 @@ def cmd_examples(args):
         "max_slope": f"{ex['max_slope']}",
         "document": doc_json,
     }
-    print(json.dumps(payload, indent=2))
+    print(schema.json_text(payload))
     return EXIT_OK
 
 
@@ -258,7 +257,10 @@ def cmd_oracle(args):
     return EXIT_OK if ok else EXIT_VERDICT
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and kept for the life
+    of the process (parse_args returns a fresh Namespace each time)."""
     ap = argparse.ArgumentParser(
         prog="nahmkit",
         description=(

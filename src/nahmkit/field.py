@@ -671,13 +671,18 @@ class Scalar:
     def sort_key(self):
         """Deterministic total-order key (for canonical tables only)."""
 
-        coords = self.ctx.cyc.coords
+        def coords(v):
+            # each coordinate c/d in lowest terms (d > 0), as the pair
+            # (numerator, denominator) of its Fraction
+            d = v[-1]
+            out = []
+            for c in v[:-1]:
+                g = gcd(c, d)
+                out.append((c // g, d // g))
+            return tuple(out)
 
         def enc(p):
-            return tuple(
-                (m, tuple((c.numerator, c.denominator) for c in coords(v)))
-                for m, v in sorted(p.items())
-            )
+            return tuple((m, coords(v)) for m, v in sorted(p.items()))
 
         return (enc(self.num), enc(self.den))
 

@@ -531,10 +531,15 @@ def _pad(ctx, a, deg):
 
 
 def _eval_poly_at_matrix(ctx, coeffs, A):
+    """The polynomial with descending coefficients coeffs at A, by Horner:
+    out * A, then the next coefficient added to the diagonal."""
     n = A.rows
     out = LaurentMatrix.identity(ctx, n).scale(coeffs[0])
     for c in coeffs[1:]:
-        out = out * A + LaurentMatrix.identity(ctx, n).scale(c)
+        rows = [list(row) for row in (out * A).entries]
+        for i in range(n):
+            rows[i][i] = rows[i][i] + c
+        out = LaurentMatrix(ctx, rows)
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InputError
 from .field import FieldContext, reduced
@@ -300,8 +301,51 @@ def document_from_json(obj):
     return {"ctx": ctx, "kind": kind, "data": data, "precision": precision}
 
 
+# -- indented JSON text --
+
+
+def json_text(obj):
+    """Exactly ``json.dumps(obj, indent=2)``, the one writer of indented
+    JSON in the package.
+
+    json falls back on its pure-Python encoder whenever ``indent`` is set;
+    this joins the text directly.  It covers the types the package emits:
+    dicts with str keys, lists, tuples, ints, strs, bools and None.  Any
+    other value or key (a float, a Fraction, an int key) raises TypeError.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(o, nl):
+    t = type(o)
+    if t is str:
+        return _json_str(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        # _json_str raises TypeError on a key that is not a str
+        items = [_json_str(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is int:
+        return repr(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dumps(doc):
-    return json.dumps(document_to_json(doc), indent=2)
+    return json_text(document_to_json(doc))
 
 
 def loads(text):

@@ -14,10 +14,10 @@ injection slot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import schema
 from .errors import InputError, VerdictFailure
 from .elliptic import (
     AdmissibleHiggsData,
@@ -104,7 +104,7 @@ class NahmReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
+        return schema.json_text(self.to_dict())
 
     def to_text(self):
         d = self.to_dict()

@@ -64,6 +64,43 @@ def test_sort_key_total_and_stable(ctx):
     assert sorted(keys) == sorted(keys)  # comparable without error
 
 
+def _fraction_sort_key(s):
+    """The sort key as it was once computed, through a Fraction for each
+    cyclotomic coordinate."""
+    coords = s.ctx.cyc.coords
+
+    def enc(p):
+        return tuple(
+            (m, tuple((c.numerator, c.denominator) for c in coords(v)))
+            for m, v in sorted(p.items())
+        )
+
+    return (enc(s.num), enc(s.den))
+
+
+def test_sort_key_matches_the_fraction_formula():
+    ctx = FieldContext(M=12, symbols=("x1", "x2"))
+    rng = random.Random(12)
+    zeta, x1, x2 = ctx.zeta(12), ctx.sym("x1"), ctx.sym("x2")
+
+    def poly():
+        out = ctx.zero
+        for _ in range(rng.randint(1, 4)):
+            c = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, 12]))
+            out = out + ctx.rational(c) * zeta ** rng.randint(0, 5) \
+                * x1 ** rng.randint(0, 2) * x2 ** rng.randint(0, 1)
+        return out
+
+    negative = shared = 0
+    for _ in range(200):
+        s = poly() if rng.random() < 0.3 else poly() / (poly() + x1)
+        assert s.sort_key() == _fraction_sort_key(s)
+        for v in list(s.num.values()) + list(s.den.values()):
+            negative += any(c < 0 for c in v[:-1])
+            shared += any(c and gcd(c, v[-1]) > 1 for c in v[:-1])
+    assert negative and shared
+
+
 def test_scalar_sqrt(ctx):
     x = ctx.sym("x")
     v = (x + 1) * (x + 1) * ctx.rational(Fraction(9, 4))

@@ -226,6 +226,46 @@ def test_charpoly_of_a_truncated_germ_loses_no_precision():
                 assert c.agrees_with(e), (shapes, n)
 
 
+def _horner_with_identities(ctx, coeffs, A):
+    """The former Horner loop, with a scaled identity per coefficient."""
+    out = LaurentMatrix.identity(ctx, A.rows).scale(coeffs[0])
+    for c in coeffs[1:]:
+        out = out * A + LaurentMatrix.identity(ctx, A.rows).scale(c)
+    return out
+
+
+def _matrix_key(m):
+    return [_series_key(row) for row in m.entries]
+
+
+def test_eval_poly_at_matrix_matches_the_identity_formula(monkeypatch):
+    """Adding each coefficient to the diagonal gives the same matrix, entry
+    for entry in valuation, coefficients, precision and exactness, as the
+    formula with scaled identities: on every polynomial the goodness
+    decompositions evaluate, and on each germ's charpoly, exact and
+    truncated, at the germ."""
+    ctx = FieldContext(M=12, symbols=("a",))
+    evaluate = higgs._eval_poly_at_matrix
+    seen = []
+
+    def checked(ctx_, coeffs, A):
+        out = evaluate(ctx_, coeffs, A)
+        assert _matrix_key(out) == _matrix_key(_horner_with_identities(ctx_, coeffs, A))
+        return out
+
+    def recorded(ctx_, coeffs, A):
+        seen.append(A.rows)
+        return checked(ctx_, coeffs, A)
+
+    monkeypatch.setattr(higgs, "_eval_poly_at_matrix", recorded)
+    for shapes, germ in _germs(ctx):
+        assert goodness_decomposition(germ).good, shapes
+        for n in (None, 0, 3):
+            m = germ.theta if n is None else germ.theta.truncate(n)
+            checked(ctx, charpoly(m), m)
+    assert len(seen) >= 2 * len(PAIRS) and max(seen) > 1
+
+
 # ----------------------------------------------------------------------
 # the elimination core against independent routes
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Document schema roundtrips and the CLI surface (verdicts, exit codes)."""
 
+import argparse
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from nahmkit import schema
+from nahmkit import cli, schema
 from nahmkit.cli import cli_run
 from nahmkit.errors import InputError
 from nahmkit.examples import catalog_names, generate_examples
@@ -189,6 +190,66 @@ def test_cli_precision_env(doc_path, capsys, monkeypatch):
                     doc_path("pushforward-2-1")]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["precision"] == 16
+
+
+# -- one parser per process: no call sees another's arguments --
+
+
+@pytest.mark.parametrize("env", [None, "9"])
+def test_cli_precision_flag_does_not_stick(doc_path, capsys, monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv("NAHMKIT_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("NAHMKIT_PRECISION", env)
+    path = doc_path("pushforward-2-1")
+    assert cli_run(["--precision", "7", "--format", "json", "oracle", path]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == 7
+    assert cli_run(["--format", "json", "oracle", path]) == 0
+    assert json.loads(capsys.readouterr().out)["precision"] == (24 if env is None else 9)
+
+
+def test_cli_format_flag_does_not_stick(doc_path, capsys):
+    path = doc_path("tame-rank1")
+    assert cli_run(["invariants", path]) == 0
+    text = capsys.readouterr().out
+    for fmt in ("json", "text"):
+        assert cli_run(["--format", fmt, "invariants", path]) == 0
+        capsys.readouterr()
+        assert cli_run(["invariants", path]) == 0
+        assert capsys.readouterr().out == text
+
+
+def test_cli_parse_error_then_good_call(doc_path, capsys):
+    path = doc_path("tame-rank1")
+    assert cli_run(["--precision", "x", "invariants", path]) == 2
+    assert cli_run(["transform", path]) == 2  # no --direction
+    assert "usage: nahmkit" in capsys.readouterr().err
+    assert cli_run(["invariants", path]) == 0
+    assert "rank 1" in capsys.readouterr().out
+
+
+def test_cli_builds_the_parser_once(doc_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    path = doc_path("tame-rank1")
+    calls = [
+        ["check", path], ["invariants", path], ["roundtrip", path],
+        ["transform", "--direction", "forward", path], ["examples"],
+        ["examples", "tame-rank1"], ["--format", "json", "invariants", path],
+        ["--precision", "x", "check", path], ["nope"], ["check", path],
+    ]
+    for argv in calls:
+        cli_run(argv)
+    capsys.readouterr()
+    # the parser and its six subcommand parsers, each built once
+    assert len(built) == 7 and built[0] == "nahmkit"
 
 
 _ABSENT = object()
