@@ -33,13 +33,20 @@ Each session has one ResidueMap (`ctx.residues`, built on first use): the
 residues of scalars in F_p, p the largest prime below 2^31 with p = 1
 (mod N), with zeta sent to a primitive N-th root of unity mod p and the
 symbols to fixed residues.  It is a ring map wherever it is defined, so a
-full column rank of residues certifies full column rank over K.
+full column rank of residues certifies full column rank over K.  The
+polynomial gcd uses the same prime, root and point (the prime and root are
+chosen once per order by _residue_prime): where no coefficient denominator
+and no leading coefficient vanishes mod p, the degree of the gcd of the
+images in one variable bounds the degree of the gcd over K in it (Brown
+1971).  A bound of 0 in every variable certifies a trivial gcd and a bound
+equal to one input's degrees makes a single trial division decide; only the
+other cases run the pseudo-remainder sequence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -358,29 +365,120 @@ def _coeffs_in(a, v):
 
 
 def p_gcd(cf, a, b):
-    """gcd of multivariate polynomials, monic-normalized; primitive PRS."""
+    """gcd of multivariate polynomials, made monic in its lex-leading term.
+
+    A monomial input leaves only the common monomial part.  Otherwise the
+    monomial content of each input is stripped and _degree_bound bounds the
+    degree of the gcd in every variable from images modulo p.  A bound of 0
+    in every variable leaves the common monomial part; a bound equal to one
+    input's degree vector makes that input the gcd when one exact division
+    of the other by it succeeds.  Any other case, and any case the images do
+    not certify, runs the pseudo-remainder sequence _gcd_uni in the variable
+    of highest degree; it divides out the content of both inputs and of the
+    last remainder, not of the remainders between.
+    """
     if not a:
         return _normalize_gcd(cf, b)
     if not b:
         return _normalize_gcd(cf, a)
+    mono = _mono_content([a, b])
     if len(a) == 1 or len(b) == 1:
         # gcd with a monomial: common monomial part only (coefficients are units)
-        mono = _mono_content([a, b])
         return {mono: cf.one}
-    # strip common monomial content first
-    mono = _mono_content([a, b])
     a = _p_shift_down(a, _mono_content([a]))
     b = _p_shift_down(b, _mono_content([b]))
-    # choose the main variable: highest degree appearing
-    k = len(next(iter(a)))
-    v = max(range(k), key=lambda i: max(_deg_in(a, i), _deg_in(b, i)))
-    if max(_deg_in(a, v), _deg_in(b, v)) == 0:
-        # constants times monomials only; coefficients in a field, gcd trivial
+    k = len(mono)
+    da = [_deg_in(a, i) for i in range(k)]
+    db = [_deg_in(b, i) for i in range(k)]
+    bound = _degree_bound(cf, a, b, da, db)
+    if bound is not None and not any(bound):
         return {mono: cf.one}
-    g = _gcd_uni(cf, a, b, v)
-    g = _p_shift_down(g, _mono_content([g]))
+    g = None
+    if bound == da and p_divexact(cf, b, a) is not None:
+        g = a
+    elif bound == db and p_divexact(cf, a, b) is not None:
+        g = b
+    if g is None:
+        # the main variable: highest degree appearing
+        g = _gcd_uni(cf, a, b, max(range(k), key=lambda i: max(da[i], db[i])))
     out = {tuple(map(add, m, mono)): c for m, c in g.items()}
     return _normalize_gcd(cf, out)
+
+
+def _degree_bound(cf, a, b, da, db):
+    """Bounds on deg_v gcd(a, b) for each variable v, or None.
+
+    a and b have degree vectors da and db.  Where both have positive degree
+    in v, zeta and the other variables go to the residues of _residue_prime
+    and _residue_point, and the bound is the degree of the gcd of the two
+    images in F_p[x_v]: with every coefficient denominator prime to p and
+    both leading coefficients in v nonzero mod p, a factorisation a = g h
+    over the localisation of Z[zeta] at the prime above p (a discrete
+    valuation ring, so Gauss's lemma holds) maps to one of the images in
+    which g keeps its degree in v, so the image of g divides both images
+    (Brown 1971).  Elsewhere the bound is 0.  None when some denominator or
+    leading coefficient vanishes mod p.
+    """
+    p, zeta_powers = _residue_prime(cf.order)
+    ra = _term_residues(a, p, zeta_powers)
+    rb = _term_residues(b, p, zeta_powers)
+    if ra is None or rb is None:
+        return None
+    point = _residue_point(p, len(da))
+    bound = []
+    for v, (dav, dbv) in enumerate(zip(da, db)):
+        if not (dav and dbv):
+            bound.append(0)
+            continue
+        fa = _image_in(ra, v, dav, point, p)
+        fb = _image_in(rb, v, dbv, point, p)
+        if not (fa[-1] and fb[-1]):
+            return None
+        bound.append(_gcd_degree_mod_p(fa, fb, p))
+    return bound
+
+
+def _term_residues(a, p, zeta_powers):
+    """[(monomial, residue of its coefficient)], or None when some
+    coefficient denominator is divisible by p."""
+    out = []
+    for m, c in a.items():
+        r = _cyc_residue(c, p, zeta_powers)
+        if r is None:
+            return None
+        out.append((m, r))
+    return out
+
+
+def _image_in(terms, v, deg, point, p):
+    """Ascending coefficients in F_p[x_v] of the polynomial with these
+    term residues, the other variables sent to the point."""
+    out = [0] * (deg + 1)
+    for m, r in terms:
+        for j, (x, e) in enumerate(zip(point, m)):
+            if e and j != v:
+                r = r * pow(x, e, p) % p
+        out[m[v]] += r
+    return [c % p for c in out]
+
+
+def _gcd_degree_mod_p(f, g, p):
+    """Degree of gcd(f, g) in F_p[x], by Euclid on ascending coefficient
+    lists whose leading coefficients are nonzero."""
+    while g:
+        dg = len(g) - 1
+        inv = pow(g[-1], -1, p)
+        f = list(f)
+        for i in range(len(f) - 1, dg - 1, -1):
+            c = f[i] * inv % p
+            if c:
+                for j in range(dg):
+                    f[i - dg + j] = (f[i - dg + j] - c * g[j]) % p
+        del f[dg:]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    return len(f) - 1
 
 
 def _normalize_gcd(cf, g):
@@ -808,43 +906,30 @@ def _prime_factors(n):
 class ResidueMap:
     """The residues of a session's scalars in F_p at one fixed point.
 
-    p is the largest prime below 2^31 with p = 1 (mod N).  zeta goes to a
-    primitive N-th root of unity r mod p, so Phi_N(r) = 0, and symbol i to
-    7^(3i+5) mod p, far from small integers.  A coefficient (c_0, ...,
-    c_{phi-1}, d) goes to sum c_i r^i / d, and a scalar num/den to
-    num(point) / den(point).  That is a ring map on the local ring of the
-    scalars whose coefficient denominators are prime to p and whose
-    denominator does not vanish at the point; any other scalar has no image
-    (None).  A minor of a matrix over that ring maps to the minor of the
-    images, so full column rank mod p certifies full column rank over K
-    (the specialisation argument of Schwartz 1980 and Zippel 1979).
+    p and the root r are _residue_prime(N): p = 1 (mod N) and zeta goes to
+    a primitive N-th root of unity r mod p, so Phi_N(r) = 0; symbol i goes
+    to _residue_point, 7^(3i+5) mod p, far from small integers.  A
+    coefficient (c_0, ..., c_{phi-1}, d) goes to sum c_i r^i / d, and a
+    scalar num/den to num(point) / den(point).  That is a ring map on the
+    local ring of the scalars whose coefficient denominators are prime to p
+    and whose denominator does not vanish at the point; any other scalar has
+    no image (None).  A minor of a matrix over that ring maps to the minor
+    of the images, so full column rank mod p certifies full column rank over
+    K (the specialisation argument of Schwartz 1980 and Zippel 1979).
     """
 
     def __init__(self, ctx):
-        N = ctx.N
-        p = (2**31 - 2) // N * N + 1
-        while not _is_prime(p):
-            p -= N
-        qs = _prime_factors(N)
-        g = 2
-        while True:
-            r = pow(g, (p - 1) // N, p)
-            if all(pow(r, N // q, p) != 1 for q in qs):
-                break
-            g += 1
-        self.p = p
-        self.zeta_powers = tuple(pow(r, i, p) for i in range(ctx.cyc.degree))
-        self.point = tuple(pow(7, 3 * i + 5, p) for i in range(ctx.nvars))
+        self.p, self.zeta_powers = _residue_prime(ctx.N)
+        self.point = _residue_point(self.p, ctx.nvars)
 
     def _poly(self, a):
         """The residue of a polynomial dict at the point, or None."""
         p = self.p
         acc = 0
         for m, c in a.items():
-            d = c[-1] % p
-            if not d:
+            v = _cyc_residue(c, p, self.zeta_powers)
+            if v is None:
                 return None
-            v = sum(map(mul, c, self.zeta_powers)) * pow(d, -1, p)
             for x, e in zip(self.point, m):
                 if e:
                     v = v * pow(x, e, p) % p
@@ -857,6 +942,42 @@ class ResidueMap:
         if num is None or not den:
             return None
         return num * pow(den, -1, self.p) % self.p
+
+
+def _cyc_residue(c, p, zeta_powers):
+    """sum c_i r^i / d mod p for the coefficient (c_0, ..., c_{phi-1}, d), or
+    None when p divides d."""
+    d = c[-1] % p
+    if not d:
+        return None
+    v = sum(map(mul, c, zeta_powers))
+    return v % p if d == 1 else v * pow(d, -1, p) % p
+
+
+@cache
+def _residue_prime(N):
+    """(p, zeta_powers): p the largest prime below 2^31 with p = 1 (mod N),
+    and the powers r^0, ..., r^(phi-1) of a primitive N-th root of unity r
+    mod p.  The one choice, made once per order, that ResidueMap and the
+    gcd degree bound share.  (Kept off CyclotomicField: an attribute set
+    after construction slows every attribute read of the field.)"""
+    p = (2**31 - 2) // N * N + 1
+    while not _is_prime(p):
+        p -= N
+    qs = _prime_factors(N)
+    g = 2
+    while True:
+        r = pow(g, (p - 1) // N, p)
+        if all(pow(r, N // q, p) != 1 for q in qs):
+            break
+        g += 1
+    return p, tuple(pow(r, i, p) for i in range(cyclotomic_field(N).degree))
+
+
+@cache
+def _residue_point(p, k):
+    """The residues 7^(3i+5) mod p of the symbols x_1, ..., x_k."""
+    return tuple(pow(7, 3 * i + 5, p) for i in range(k))
 
 
 # ----------------------------------------------------------------------

@@ -187,10 +187,11 @@ class ElementaryBlock:
         )
 
     def pardeg(self):
-        """Contribution to the global parabolic degree: sum deg - delta."""
-        base = sum(self.degrees)
-        delta = sum(self.downstairs_weights(), Fraction(0))
-        return base - delta
+        """Contribution to the global parabolic degree: sum deg - delta, with
+        delta the sum of the downstairs weights (c - j)/p over the weights c
+        and j = 0..p-1, that is sum(weights) - k(p-1)/2."""
+        delta = sum(self.weights, Fraction(0)) - Fraction(self.k * (self.p - 1), 2)
+        return sum(self.degrees) - delta
 
     def describe(self):
         o = "0" if self.m == 0 and self.alpha.is_zero() else (

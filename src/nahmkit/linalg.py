@@ -20,6 +20,7 @@ roots over the session field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import FieldExtensionRequired
 from .field import scalar_sqrt
@@ -296,7 +297,9 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
     """All roots (with multiplicity) of a monic Scalar polynomial, or raise.
 
     Deflates verified candidate roots, then takes a linear remainder directly
-    and a quadratic one through a perfect-square discriminant.  Raises
+    and a quadratic one through a perfect-square discriminant.  A remainder
+    of degree 3 or more on which every candidate fails tries the rational
+    roots of its centred form instead (_centred_rational_roots).  Raises
     FieldExtensionRequired when the polynomial does not split over the
     session field.
     """
@@ -337,6 +340,10 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
                 roots.extend([(-b + s) * half, (-b - s) * half])
                 cur = cur[:1]
                 progress = True
+        elif len(cur) > 3 and not progress:
+            # every candidate so far failed on cur, so on its factors too
+            cand = [c for c in _centred_rational_roots(ctx, cur) if c not in cand]
+            progress = bool(cand)
     if len(cur) > 1:
         raise FieldExtensionRequired(
             "polynomial does not split over the session field"
@@ -350,6 +357,57 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
             mult[r] = 1
             order.append(r)
     return [(r, mult[r]) for r in order]
+
+
+# rational-root-theorem candidates are enumerated only for a leading and a
+# constant coefficient up to this size; a larger remainder is not split
+_DIVISOR_LIMIT = 10**8
+
+
+def _centred_rational_roots(ctx, coeffs):
+    """The roots T = S - c1/(n c0) of coeffs (descending, degree n) for the
+    rational roots S of its centred form coeffs(S - c1/(n c0)), or [].
+
+    The centred form has no S^(n-1) term, and it is the same for a
+    polynomial and its shift by any scalar: the charpoly of f + nu id is
+    symbolic, but its centred form is rational when that of f is.  Its
+    rational roots are the d/e with d dividing the constant and e the
+    leading coefficient of the integer polynomial (rational root theorem);
+    each is checked in integers, and the caller verifies every returned
+    root by exact evaluation before it deflates.
+    """
+    n = len(coeffs) - 1
+    shift = -(coeffs[1] / (coeffs[0] * ctx.rational(n)))
+    # Taylor shift by repeated synthetic division: coeffs(S + shift)
+    centred = list(coeffs)
+    for i in range(n):
+        for j in range(1, n + 1 - i):
+            centred[j] = centred[j] + shift * centred[j - 1]
+    fracs = [c.as_fraction() for c in centred]
+    if None in fracs:
+        return []
+    den = lcm(*(q.denominator for q in fracs))
+    ints = [int(q * den) for q in fracs]
+    found = [Fraction(0)] if not ints[-1] else []
+    while not ints[-1]:
+        ints.pop()
+    lead, const = ints[0], ints[-1]
+    if len(ints) > 1 and max(abs(lead), abs(const)) <= _DIVISOR_LIMIT:
+        deg = len(ints) - 1
+        for d in _divisors(const):
+            for e in _divisors(lead):
+                if gcd(d, e) != 1:
+                    continue
+                for num in (d, -d):
+                    if not sum(c * num ** (deg - i) * e ** i for i, c in enumerate(ints)):
+                        found.append(Fraction(num, e))
+    return [ctx.rational(q) + shift for q in found]
+
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def eigenvalues_in_field(mat, candidates=()):

@@ -7,10 +7,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nahmkit import schema
+from nahmkit import field, schema
 from nahmkit.errors import FieldExtensionRequired, InputError
 from nahmkit.field import (
-    FieldContext, cyclotomic_polynomial, p_add, p_mul, p_neg, p_sub, reduced, scalar_sqrt,
+    FieldContext, cyclotomic_polynomial, p_add, p_divexact, p_gcd, p_mul, p_neg, p_sub, reduced,
+    scalar_sqrt,
 )
 
 
@@ -314,15 +315,13 @@ def test_direct_arithmetic_is_what_reduction_gives(M, symbols):
         assert (a - a).num == {} and (a - a).den == ctx.unit
 
 
-@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
-def test_direct_arithmetic_matches_sympy_cancel(M, symbols):
-    """The canonical form is sympy's cancel of the same value, with the
-    denominator made monic in its lex-leading term."""
+def _sympy_converter(ctx):
+    """The map from polynomial dicts of the session to sympy Polys over
+    Q(zeta_N), for N = 4 and 12; skips the test without sympy."""
     sympy = pytest.importorskip("sympy")
-    zeta = {4: sympy.I, 12: (sympy.sqrt(3) + sympy.I) / 2}[M]
+    zeta = {4: sympy.I, 12: (sympy.sqrt(3) + sympy.I) / 2}[ctx.N]
     K = sympy.QQ.algebraic_field(zeta)
-    gens = sympy.symbols(symbols)
-    ctx = FieldContext(M=M, symbols=symbols)
+    gens = sympy.symbols(ctx.symbols)
     powers = [K.from_sympy(zeta) ** i for i in range(ctx.cyc.degree)]
 
     def to_sympy(p):
@@ -333,6 +332,15 @@ def test_direct_arithmetic_matches_sympy_cancel(M, symbols):
         }
         return sympy.Poly.from_dict(terms or {(0,) * len(gens): K.zero}, *gens, domain=K)
 
+    return to_sympy
+
+
+@pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
+def test_direct_arithmetic_matches_sympy_cancel(M, symbols):
+    """The canonical form is sympy's cancel of the same value, with the
+    denominator made monic in its lex-leading term."""
+    ctx = FieldContext(M=M, symbols=symbols)
+    to_sympy = _sympy_converter(ctx)
     for a, b in _operand_pairs(ctx, 100 + M + len(symbols), 2):
         for op, (got, num, den) in _unreduced(a, b).items():
             p, q = to_sympy(num).cancel(to_sympy(den), include=True)
@@ -415,3 +423,123 @@ def test_residue_map_has_no_image_where_the_denominator_vanishes():
     assert res(x - at) == 0
     assert res((x - at).inverse()) is None
     assert res(ctx.rational(Fraction(1, res.p))) is None
+
+
+# -- polynomial gcds: the degree bound modulo p, then the PRS --
+
+GCD_FIELDS = [(4, ("x1", "x2")), (12, ("x1", "x2", "x3", "x4"))]
+
+
+def _gcd_pairs(ctx, seed, count):
+    """Seeded (a, b): a common factor or none, and a third of the pairs with
+    one input dividing the other."""
+    rng = random.Random(seed)
+    cf = ctx.cyc
+    for i in range(count):
+        g = _poly(ctx, rng, rng.randint(2, 3)) if i % 2 else ctx.unit
+        a = p_mul(cf, g, _poly(ctx, rng, rng.randint(1, 3)))
+        if i % 3 == 0:
+            yield a, p_mul(cf, a, _poly(ctx, rng, rng.randint(1, 2)))
+        else:
+            yield a, p_mul(cf, g, _poly(ctx, rng, rng.randint(1, 3)))
+
+
+def _monic(ctx, p):
+    """p divided by its lex-leading coefficient."""
+    return field._normalize_gcd(ctx.cyc, p)
+
+
+@pytest.mark.parametrize("M, symbols", GCD_FIELDS, ids=["Q(i)-x1x2", "Q(zeta12)-x1..x4"])
+def test_p_gcd_matches_sympy(M, symbols):
+    ctx = FieldContext(M=M, symbols=symbols)
+    to_sympy = _sympy_converter(ctx)
+    cf = ctx.cyc
+    equal_to_input = 0
+    for a, b in _gcd_pairs(ctx, 40 + M, 18):
+        got = p_gcd(cf, a, b)
+        assert to_sympy(got) == to_sympy(a).gcd(to_sympy(b)).monic(), (a, b)
+        assert p_divexact(cf, a, got) is not None and p_divexact(cf, b, got) is not None
+        equal_to_input += got in (_monic(ctx, a), _monic(ctx, b))
+    assert equal_to_input >= 6
+
+
+def _count_prs(monkeypatch):
+    calls = [0]
+    gcd_uni = field._gcd_uni
+
+    def counted(*args):
+        calls[0] += 1
+        return gcd_uni(*args)
+
+    monkeypatch.setattr(field, "_gcd_uni", counted)
+    return calls
+
+
+def _mono_min(a, b):
+    """The common monomial content of a and b."""
+    return tuple(map(min, *a, *b))
+
+
+def test_coprime_pairs_never_reach_the_prs(monkeypatch):
+    ctx = FieldContext(M=12, symbols=("x1", "x2", "x3", "x4"))
+    cf = ctx.cyc
+    rng = random.Random(7)
+    calls = _count_prs(monkeypatch)
+    for _ in range(40):
+        a = _poly(ctx, rng, rng.randint(2, 4))
+        b = _poly(ctx, rng, rng.randint(2, 4))
+        assert p_gcd(cf, a, b) == {_mono_min(a, b): cf.one}, (a, b)
+    assert calls[0] == 0
+
+
+def _residue_poly(ctx, terms):
+    """sum c x1^i x2^j over terms {(i, j): c}, c rational."""
+    return {m: ctx.cyc.from_rational(c) for m, c in terms.items() if c}
+
+
+def test_vanishing_leading_coefficient_reaches_the_prs(monkeypatch):
+    # g = (x1 - c1)(x2 - c2) + 1 with (c1, c2) the residue point: the
+    # leading coefficients of a and b in x1 and in x2 vanish there, so the
+    # images lose g and would bound its degree by 0
+    ctx = FieldContext(M=12, symbols=("x1", "x2"))
+    cf = ctx.cyc
+    c1, c2 = ctx.residues.point
+    g = _residue_poly(ctx, {(1, 1): 1, (1, 0): -c2, (0, 1): -c1, (0, 0): c1 * c2 + 1})
+    a = p_mul(cf, g, _residue_poly(ctx, {(1, 0): 1, (0, 1): 1, (0, 0): 3}))
+    b = p_mul(cf, g, _residue_poly(ctx, {(1, 0): 1, (0, 1): -1, (0, 0): 5}))
+    calls = _count_prs(monkeypatch)
+    assert p_gcd(cf, a, b) == _monic(ctx, g)
+    assert calls[0] >= 1
+
+
+def test_unlucky_pairs_fall_through_to_the_prs(monkeypatch):
+    ctx = FieldContext(M=12, symbols=("x1", "x2"))
+    cf = ctx.cyc
+    c1, p = ctx.residues.point[0], ctx.residues.p
+    one = {(0, 0): cf.one}
+    calls = _count_prs(monkeypatch)
+    # x2 + (x1 - c) and x2 + 2(x1 - c): coprime, images x2 and x2
+    a = _residue_poly(ctx, {(0, 1): 1, (1, 0): 1, (0, 0): -c1})
+    b = _residue_poly(ctx, {(0, 1): 1, (1, 0): 2, (0, 0): -2 * c1})
+    assert p_gcd(cf, a, b) == one
+    assert calls[0] == 1
+    # x1 - c and x1 - c - p: the images are equal, so the bound is a's own
+    # degree vector, and the trial division of b by a fails
+    a = _residue_poly(ctx, {(1, 0): 1, (0, 0): -c1})
+    b = _residue_poly(ctx, {(1, 0): 1, (0, 0): -c1 - p})
+    assert p_gcd(cf, a, b) == one
+    assert calls[0] == 2
+
+
+def test_denominators_divisible_by_p_reach_the_prs(monkeypatch):
+    # (x1 + 1/p)(x1 + 2) and (x1 + 1/p)(x1 + 3): no image mod p; read with
+    # the denominators dropped they would be coprime
+    ctx = FieldContext(M=12, symbols=("x1",))
+    cf = ctx.cyc
+    p = ctx.residues.p
+    g = {(1,): cf.one, (0,): cf.from_rational(Fraction(1, p))}
+    a = p_mul(cf, g, {(1,): cf.one, (0,): cf.from_rational(2)})
+    b = p_mul(cf, g, {(1,): cf.one, (0,): cf.from_rational(3)})
+    calls = _count_prs(monkeypatch)
+    assert p_gcd(cf, a, b) == g
+    assert calls[0] == 1

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -405,3 +406,23 @@ def test_scalar_nth_root_is_exact():
     assert _scalar_nth_root(ctx.rational(3 ** 2000), 5) == ctx.rational(3 ** 400)
     assert _scalar_nth_root(ctx.rational(3 ** 2000), 3) is None
     assert _scalar_nth_root(ctx.rational(3 ** 2000 + 1), 5) is None
+
+
+def test_pardeg_is_the_sum_of_the_downstairs_weights(ctx):
+    """The closed form sum(degrees) - (sum(weights) - k(p-1)/2) against the
+    sum of the p*k downstairs weights (c - j)/p, on every block shape with
+    p + m <= 6, one to three lines and seeded weights and degrees."""
+    rng = random.Random(11)
+    shapes = [(p, m) for p in range(1, 6) for m in range(0, 6 - p)
+              if m == 0 or gcd(p, m) == 1]
+    for p, m in shapes:
+        for k in (1, 2, 3):
+            weights = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(k)]
+            degrees = [rng.randint(-3, 3) for _ in range(k)]
+            radicand = ctx.rational(rng.randint(1, 5)) if m else None
+            b = ElementaryBlock.make(ctx, p, m, weights=weights, degrees=degrees,
+                                     radicand=radicand)
+            downstairs = [F(c - j, p) for c in b.weights for j in range(p)]
+            want = sum(b.degrees) - sum(downstairs, F(0))
+            got = b.pardeg()
+            assert type(got) is F and got == want, (p, m, weights, degrees)

@@ -16,9 +16,11 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from nahmkit import linalg, oracle  # noqa: E402
+from nahmkit.errors import FieldExtensionRequired  # noqa: E402
 from nahmkit.field import FieldContext  # noqa: E402
 from nahmkit.higgs import ElementaryBlock, HiggsGerm  # noqa: E402
 from nahmkit.localnahm import build_local_complex  # noqa: E402
+from nahmkit.torus import lattice_vector  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +295,28 @@ def test_linear_remainder_is_a_root(ctx):
            for row in (P * sympy.diag(1, 1, -1) * P.inv()).tolist()]
     assert linalg.eigenvalues_in_field(_scalars(ctx, mat)) == [
         (ctx.one, 2), (ctx.rational(-1), 1)]
+
+
+@pytest.mark.parametrize("D", [(1, 5, 11), (2, 3, 7)])
+def test_split_rational_cubic_off_the_candidates(D):
+    """P diag(D) P^-1 and its shift by a symbolic lattice vector split: no
+    root is a candidate, and the centred charpoly is rational in both."""
+    ctx = FieldContext(M=12, symbols=("x1", "x2", "nu1", "nu2"))
+    P = _sympy([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+    mat = _scalars(ctx, [[F(int(x.p), int(x.q)) for x in row]
+                         for row in (P * sympy.diag(*D) * P.inv()).tolist()])
+    nu = lattice_vector(ctx, 1, -1)
+    shifted = [[x + nu if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(mat)]
+    for m, shift in ((mat, ctx.zero), (shifted, nu)):
+        eigs = linalg.eigenvalues_in_field(m)
+        assert sorted(eigs, key=lambda e: e[0].sort_key()) == sorted(
+            [(ctx.rational(d) + shift, 1) for d in D], key=lambda e: e[0].sort_key())
+
+
+def test_rational_cubic_without_rational_root_does_not_split(ctx):
+    # (T - 1)^3 - 2: its centred form S^3 - 2 has no rational root, and the
+    # cube root of 2 is not in Q(zeta_12)
+    cp = [ctx.rational(c) for c in (1, -3, 3, -3)]
+    with pytest.raises(FieldExtensionRequired):
+        linalg.scalar_poly_roots(ctx, cp)
