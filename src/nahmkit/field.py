@@ -46,7 +46,7 @@ other cases run the pseudo-remainder sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -566,6 +566,7 @@ class FieldContext:
         self.unit = {self._zero_mono: self.cyc.one}
         self.zero = Scalar(self, {}, self.unit)
         self.one = self.rational(1)
+        self._residues = None
 
     # -- constructors --
 
@@ -599,10 +600,13 @@ class FieldContext:
     def has_root_of_unity(self, order):
         return self.N % order == 0
 
-    @cached_property
+    @property
     def residues(self):
-        """The session's ResidueMap into F_p, built on first use."""
-        return ResidueMap(self)
+        """The session's ResidueMap into F_p, built on first use (into an
+        attribute set in __init__: one added later slows every read)."""
+        if self._residues is None:
+            self._residues = ResidueMap(self)
+        return self._residues
 
     def __repr__(self):
         return f"FieldContext(M={self.M}, symbols={self.symbols})"

@@ -131,7 +131,10 @@ def build_local_complex(germ, certificate=None):
         germ = HiggsGerm.from_blocks(germ.ctx, gr.all_blocks(), germ.coord)
     parts = []
     for b in germ.blocks:
-        dw = sorted(b.downstairs_weights(), reverse=True)
+        down = b.downstairs_weights()
+        # the realized frame: weights descending, ties in block order
+        order = sorted(range(len(down)), key=lambda i: -down[i])
+        dw = [down[i] for i in order]
         l0 = c0_level(b)
         c0 = tuple(_gen_exponent(w, l0) for w in dw)
         if b.is_exceptional():
@@ -142,7 +145,7 @@ def build_local_complex(germ, certificate=None):
                 n0 = [_gen_exponent(w, Fraction(0)) for w in dw]
                 for t in range(k):
                     for s in range(k):
-                        if s < t and not b.nilp[s][t].is_zero():
+                        if not b.nilp[order[s]][order[t]].is_zero():
                             # theta maps line t into line s with a dz/z pole
                             c1[s] = min(c1[s], n0[t] - 1)
             c1 = tuple(c1)

@@ -1,23 +1,14 @@
 """Independent brute-force verification of the degree bookkeeping.
 
-Two independent routes to every local rank:
+Three checks, each proving one thing about build_local_complex:
 
-* truncated_cokernel builds the honest truncated matrix of theta + w dzeta
-  from C0-lattice coordinates to C1-lattice coordinates over the session
-  field (w symbolic for generic fibers) and computes exact kernel/cokernel
-  dimensions of that explicit matrix, certifying by stability under
-  N -> N + 4.  Each rank is decided by a modular certificate first: full
-  column rank of the residues mod p (field.ResidueMap, linalg.rank_mod_p)
-  is full column rank over the field.  Where it does not decide, exact
-  elimination over the field (linalg.rref) does.  Each part's map is
-  realized once per call and shared by the module-kernel pass and both
-  truncations; the module kernel does not depend on N, so it is computed
-  before either truncation is built;
-
-* degree_crosscheck recomputes the lattice index through Smith normal form
-  of the map written in the lattice frames (sum of invariant exponents
-  minus the valuation of the determinant of the raw map).  It realizes
-  each part itself, so the two routes share nothing.
+* part_maps: theta + w dzeta preserves the lattices of each part;
+* truncated_cokernel: the truncated model of that map is injective, and
+  stays so under N -> N + 4 (its cokernel is then the bookkeeping index by
+  counting dimensions);
+* degree_crosscheck: the bookkeeping's generator exponents, re-derived
+  from the realized lattice by rules of its own, and on an exceptional part
+  the index, from the colength of the lattice join by Smith form.
 
 Any disagreement with the weight bookkeeping is a hard failure, never
 smoothed over.
@@ -26,17 +17,13 @@ smoothed over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, floor
 
 from .errors import InputError, PrecisionExhausted
 from .higgs import HiggsGerm, realize
 from .linalg import rank_mod_p, rref
-from .lmatrix import (
-    LaurentMatrix,
-    determinant,
-    kernel_basis,
-    smith_normal_form,
-)
-from .localnahm import build_local_complex
+from .lmatrix import LaurentMatrix, kernel_basis, smith_normal_form
+from .localnahm import LEVEL_HALF, build_local_complex, c0_level
 from .series import DEFAULT_PRECISION, TruncatedLaurent
 
 
@@ -50,28 +37,21 @@ class TruncationModel:
     matrix: list  # sparse rows: list of dict {col: Scalar}
 
 
-def _map_matrix(ctx, germ, w):
-    """theta + w dzeta as a matrix over the series field, in the realized
-    frame basis, relative to the dzeta-trivialization."""
-    g = realize(germ)
-    A = g.theta.shift(-1)  # theta = A dz/z = (A/z) dz
-    wI = LaurentMatrix.identity(ctx, g.lattice.rank).scale(
-        TruncatedLaurent.from_scalar(w)
-    )
-    return g, A + wI
-
-
 def part_maps(complex_, w):
-    """theta + w dzeta of each part of the complex, realized once.
+    """theta + w dzeta of each part, realized once, over the series field
+    in the realized frame, relative to the dzeta-trivialization.
 
-    Runs the two checks that do not depend on the truncation order: the
-    realized weights match the part's, and the map preserves the lattices
-    (no image exponent below the C1 floor)."""
+    Proves lattice preservation, which does not depend on the truncation
+    order: the realized weights match the part's, and no image exponent
+    falls below the C1 floor."""
     ctx = complex_.germ.ctx
+    wz = TruncatedLaurent.from_scalar(w)
     maps = []
     for part in complex_.parts:
-        g, M = _map_matrix(ctx, HiggsGerm.from_blocks(ctx, [part.block]), w)
+        g = realize(HiggsGerm.from_blocks(ctx, [part.block]))
         r = g.lattice.rank
+        # theta = A dz/z = (A/z) dz
+        M = g.theta.shift(-1) + LaurentMatrix.identity(ctx, r).scale(wz)
         # realized weights match part.down_weights (both sorted descending)
         if tuple(g.lattice.weights) != part.down_weights:
             raise InputError("complex lattice data out of sync with realization")
@@ -142,6 +122,11 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     flagged, not the matrix).  Returns (dim ker, dim coker, certified);
     certification means stability under N -> N + 4, or for a module kernel
     that kernel_basis certified it.
+
+    What this proves is that the truncated model is injective and stays so
+    under N -> N + 4.  The model has sum(T - n1) rows and sum(T - n0)
+    columns, so coker - ker is the bookkeeping index sum(n0) - sum(n1)
+    whatever the map: with ker == 0, coker equals the index by counting.
     """
     w, _L = twist
     ctx = complex_.germ.ctx
@@ -178,40 +163,46 @@ def oracle_rank(germ, w, N=DEFAULT_PRECISION):
 
 
 def degree_crosscheck(data, w, N=DEFAULT_PRECISION):
-    """Recompute each point's lattice index two ways and compare.
+    """Re-derive the bookkeeping exponents of every part of every point.
 
-    Bookkeeping route: generator-exponent drops of the C0/C1 lattices.
-    Smith route: invariant exponents of the map written in the lattice
-    frames, minus the valuation of the raw determinant.
+    Each part is realized, and its C0 and C1 generator exponents are
+    recomputed from the realized lattice's weights by rules of this module's
+    own: z^n e generates P_a on a weight-c line for n = ceil(c - a), and
+    P_{<1} for n = floor(c - 1) + 1.  The C0 exponents must equal the
+    bookkeeping's, and so must the C1 exponents where C1 is monomial.  On an
+    exceptional part C1 is the join P_{<1} (x) Omega + theta P_0, which need
+    not be monomial; its colength is the sum of the Smith exponents of the
+    r x 2r generator matrix [z^strict | Theta z^(n0 - 1)], and sum(n0) minus
+    that colength must be the part's index.  Returns False on any
+    difference.
+
+    The lattices depend neither on the twist w nor on the precision N: the
+    generator matrices are exact.
     """
     ctx = data.ctx
+    zero = TruncatedLaurent.zero(ctx)
     for sp in data.points:
-        complex_ = build_local_complex(sp.germ)
-        book = complex_.index
-        smith_total = 0
-        for part in complex_.parts:
-            germ1 = HiggsGerm.from_blocks(ctx, [part.block])
-            g, M = _map_matrix(ctx, germ1, w)
-            r = g.lattice.rank
-            # write the map in the lattice frames: diag(z^-n1) M diag(z^n0)
-            rows = []
-            for i in range(r):
-                row = []
-                for j in range(r):
-                    e = M.entries[i][j]
-                    e = e.shift(part.c0_exponents[j] - part.c1_exponents[i])
-                    row.append(e.truncate(N) if not e.exact else e)
-                rows.append(row)
-            Mhat = LaurentMatrix(ctx, rows)
-            mv = Mhat.min_valuation()
-            if mv is None or mv < 0:
-                raise InputError("map is not lattice-preserving (level error)")
-            invs = smith_normal_form(Mhat.truncate(N))
-            d_sum = sum(inv.val for inv in invs)
-            det_val = determinant(M.truncate(N)).valuation()
-            if det_val is None:
-                raise PrecisionExhausted("determinant vanishes to precision")
-            smith_total += d_sum - det_val
-        if smith_total != book:
-            return False
+        for part in build_local_complex(sp.germ).parts:
+            b = part.block
+            g = realize(HiggsGerm.from_blocks(ctx, [b]))
+            weights = g.lattice.weights
+            n0 = tuple(ceil(c - c0_level(b)) for c in weights)
+            if n0 != part.c0_exponents:
+                return False
+            if not b.is_exceptional():
+                if tuple(ceil(c - LEVEL_HALF) for c in weights) != part.c1_exponents:
+                    return False
+                continue
+            # theta = Theta dz/z sends z^n0[t] e_t to z^(n0[t]-1) Theta e_t dz
+            r = len(weights)
+            gens = LaurentMatrix(ctx, [
+                [TruncatedLaurent.monomial(ctx, ctx.one, floor(weights[i] - 1) + 1)
+                 if j == i else zero for j in range(r)]
+                + [g.theta.entries[i][t].shift(n0[t] - 1) for t in range(r)]
+                for i in range(r)
+            ])
+            lift = -gens.min_valuation()
+            invs = smith_normal_form(gens.shift(lift))
+            if sum(n0) - (sum(inv.val for inv in invs) - r * lift) != part.index:
+                return False
     return True

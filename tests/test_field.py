@@ -398,6 +398,14 @@ def test_residue_prime_and_root_of_unity(M):
     assert res.zeta_powers == tuple(pow(r, i, p) for i in range(ctx.cyc.degree))
 
 
+def test_residues_are_built_once_into_an_existing_slot():
+    ctx = FieldContext(M=12, symbols=("x",))
+    names = set(vars(ctx))
+    res = ctx.residues
+    assert ctx.residues is res
+    assert set(vars(ctx)) == names
+
+
 @pytest.mark.parametrize("M, symbols", DIRECT_FIELDS, ids=DIRECT_IDS)
 def test_residue_map_is_a_ring_map(M, symbols):
     ctx = FieldContext(M=M, symbols=symbols)

@@ -6,11 +6,12 @@ from math import gcd
 
 import pytest
 
-from nahmkit import linalg, lmatrix, oracle
+from nahmkit import linalg, lmatrix, localnahm, oracle
 from nahmkit.errors import PrecisionExhausted
+from nahmkit.examples import generate_examples
 from nahmkit.field import FieldContext
 from nahmkit.higgs import ElementaryBlock, HiggsGerm
-from nahmkit.localnahm import build_local_complex
+from nahmkit.localnahm import block_index, build_local_complex
 from nahmkit.oracle import (
     build_truncation_model,
     degree_crosscheck,
@@ -48,6 +49,20 @@ def suite_germ(ctx, shape):
 
 def suite_complex(ctx, shape):
     return build_local_complex(suite_germ(ctx, shape))
+
+
+def point_data(ctx, germ):
+    pt = TorusPoint("T_dual", F(1, 3), 0, is_lift=True)
+    return AdmissibleHiggsData(ctx, [SingularPoint(pt, germ)])
+
+
+def nilpotent_block(ctx, weights, entries):
+    """Exceptional block (zero residue) whose nilpotent part has a 1 at
+    each (row, column) of entries."""
+    k = len(weights)
+    nilp = [[ctx.one if (i, j) in entries else ctx.zero for j in range(k)]
+            for i in range(k)]
+    return ElementaryBlock.make(ctx, 1, 0, weights=weights, nilp=nilp)
 
 
 def test_tame_generic(ctx):
@@ -127,6 +142,11 @@ def test_degree_crosscheck_randomized(ctx):
             ctx, [SingularPoint(pt, HiggsGerm.from_blocks(ctx, blocks, "finite"))]
         )
         assert degree_crosscheck(d, w)
+    # exceptional blocks: two weights in random order, theta e_1 = e_0 dz/z
+    for _ in range(10):
+        pair = [F(rng.randint(-7, 0), rng.randint(1, 8)) for _ in range(2)]
+        b = nilpotent_block(ctx, tuple(pair), {(0, 1)})
+        assert degree_crosscheck(point_data(ctx, HiggsGerm.from_blocks(ctx, [b])), w), pair
 
 
 def test_crosscheck_additivity(ctx):
@@ -195,8 +215,9 @@ def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch)
 def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypatch):
     """Count-only guard: on each suite shape at N = 24, truncated_cokernel
     eliminates once per part over the series field (the module kernel) and
-    degree_crosscheck twice (the Smith form and the determinant); neither
-    back-substitutes."""
+    degree_crosscheck not at all, since no suite shape has an exceptional
+    part; on an exceptional part degree_crosscheck eliminates once (the
+    Smith form of the join).  Neither back-substitutes."""
     calls = {"_eliminate": 0, "_back_substitute": 0}
 
     def counting(name):
@@ -210,7 +231,6 @@ def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypat
     for name in calls:
         monkeypatch.setattr(lmatrix, name, counting(name))
     w = ctx.sym("w")
-    pt = TorusPoint("T_dual", F(1, 3), 0, is_lift=True)
     for shape in SUITE_SHAPES:
         germ = suite_germ(ctx, shape)
         parts = len(build_local_complex(germ).parts)
@@ -218,5 +238,58 @@ def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypat
         assert truncated_cokernel(build_local_complex(germ), (w, None), 24)[0::2] == (0, True)
         assert calls == {"_eliminate": parts, "_back_substitute": 0}, shape
         calls.update(_eliminate=0)
-        assert degree_crosscheck(AdmissibleHiggsData(ctx, [SingularPoint(pt, germ)]), w, 24)
-        assert calls == {"_eliminate": 2 * parts, "_back_substitute": 0}, shape
+        assert degree_crosscheck(point_data(ctx, germ), w, 24)
+        assert calls == {"_eliminate": 0, "_back_substitute": 0}, shape
+    exceptional = [ElementaryBlock.make(ctx, 1, 0, weights=(F(0),)),
+                   nilpotent_block(ctx, (F(-1, 2), F(0)), {(0, 1)})]
+    germ = HiggsGerm.from_blocks(ctx, [suite_germ(ctx, (2, 1)).blocks[0], *exceptional])
+    calls.update(_eliminate=0)
+    assert degree_crosscheck(point_data(ctx, germ), w, 24)
+    assert calls == {"_eliminate": len(exceptional), "_back_substitute": 0}
+
+
+@pytest.mark.parametrize("weights, index", [((F(-1, 2), F(0)), 1), ((F(0), F(-1, 2)), 2)])
+def test_nilpotent_part_is_read_in_the_sorted_frame(ctx, weights, index):
+    """theta e_1 = e_0 dz/z.  The join P_{<1} + theta P_0 adds z^-1 e_0,
+    which is new only when e_0 has weight 0; the bookkeeping reads the
+    nilpotent part in the weight-sorted frame the realization uses."""
+    b = nilpotent_block(ctx, weights, {(0, 1)})
+    assert block_index(b) == index
+    assert degree_crosscheck(point_data(ctx, HiggsGerm.from_blocks(ctx, [b])), ctx.sym("w"))
+
+
+@pytest.mark.xfail(strict=True, reason="the min rule of build_local_complex treats "
+                   "a non-monomial join as monomial")
+def test_non_monomial_nilpotent_column(ctx):
+    """theta e_2 = (e_0 + e_1) dz/z on three weight-0 lines: the join adds
+    the one generator z^-1 (e_0 + e_1), colength -1, where the min rule
+    lowers both lines and gets -2."""
+    b = nilpotent_block(ctx, (F(0), F(0), F(0)), {(0, 2), (1, 2)})
+    assert degree_crosscheck(point_data(ctx, HiggsGerm.from_blocks(ctx, [b])), ctx.sym("w"))
+
+
+def _degenerate_example():
+    ex = generate_examples("tame-rank1-degenerate")
+    return ex["data"], ex["ctx"].sym("w")
+
+
+def test_oracle_rejects_an_off_by_one_generator_exponent(ctx, monkeypatch):
+    """P_a generator exponents one too high on every line leave every index
+    unchanged; the crosscheck re-derives the exponents and rejects them."""
+    w = ctx.sym("w")
+    cases = [(point_data(ctx, suite_germ(ctx, s)), w) for s in SUITE_SHAPES]
+    cases.append(_degenerate_example())
+    assert all(degree_crosscheck(d, x) for d, x in cases)
+    gen = localnahm._gen_exponent
+    monkeypatch.setattr(localnahm, "_gen_exponent", lambda c, a: gen(c, a) + 1)
+    assert not any(degree_crosscheck(d, x) for d, x in cases)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_oracle_rejects_an_off_by_one_strict_exponent(monkeypatch, delta):
+    data, w = _degenerate_example()
+    assert degree_crosscheck(data, w)
+    strict = localnahm._gen_exponent_strict
+    monkeypatch.setattr(localnahm, "_gen_exponent_strict",
+                        lambda c, a: strict(c, a) + delta)
+    assert not degree_crosscheck(data, w)
