@@ -80,9 +80,6 @@ class LaurentMatrix:
         vals = [e.val for row in self.entries for e in row if e.coeffs]
         return min(vals) if vals else None
 
-    def transpose(self):
-        return LaurentMatrix(self.ctx, [list(col) for col in zip(*self.entries)])
-
     def submatrix(self, row_idx, col_idx):
         return LaurentMatrix(
             self.ctx, [[self.entries[i][j] for j in col_idx] for i in row_idx]
@@ -93,9 +90,6 @@ class LaurentMatrix:
 
     def shift(self, k):
         return self.map_entries(lambda e: e.shift(k))
-
-    def substitute_power(self, p):
-        return self.map_entries(lambda e: e.substitute_power(p))
 
     def truncate(self, prec):
         return self.map_entries(lambda e: e.truncate(prec))

@@ -14,9 +14,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 from .errors import InputError
 from .field import FieldContext, reduced
-from .filtered import FilteredLattice
 from .higgs import ElementaryBlock, HiggsGerm
-from .lmatrix import LaurentMatrix
 from .series import TruncatedLaurent
 from .torus import TorusPoint
 from .elliptic import AdmissibleHiggsData, FilteredBundleData, SingularPoint
@@ -93,7 +91,7 @@ def scalar_from_json(ctx, obj):
     return reduced(ctx, num, den)
 
 
-# -- series and matrices --
+# -- series --
 
 
 def series_to_json(s):
@@ -112,33 +110,6 @@ def series_from_json(ctx, obj):
         [scalar_from_json(ctx, c) for c in obj["coeffs"]],
         prec=None if obj.get("prec") is None else _int(obj["prec"], "series precision"),
         exact=_bool(obj.get("exact", False), "series exact"),
-    )
-
-
-def matrix_to_json(m):
-    return [[series_to_json(e) for e in row] for row in m.entries]
-
-
-def matrix_from_json(ctx, obj):
-    return LaurentMatrix(ctx, [[series_from_json(ctx, e) for e in row] for row in obj])
-
-
-def lattice_to_json(lat):
-    return {
-        "rank": lat.rank,
-        "level": rat_to_json(lat.level),
-        "weights": [rat_to_json(w) for w in lat.weights],
-        "frame": None if lat.frame is None else matrix_to_json(lat.frame),
-    }
-
-
-def lattice_from_json(ctx, obj):
-    frame = obj.get("frame")
-    return FilteredLattice(
-        ctx,
-        [rat_from_json(w) for w in obj["weights"]],
-        level=rat_from_json(obj["level"]),
-        frame=None if frame is None else matrix_from_json(ctx, frame),
     )
 
 

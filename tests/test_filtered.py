@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
@@ -14,10 +15,13 @@ from nahmkit.filtered import (
     dual_filtered,
     grading,
     jump_count,
+    lattice_morphism_ok,
     pullback_covering,
     pushforward_covering,
     tensor_filtered,
 )
+from nahmkit.lmatrix import LaurentMatrix
+from nahmkit.series import TruncatedLaurent as TL
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +179,35 @@ def test_jump_count_windows(ctx):
     assert jump_count([F(-1, 4)], F(-1, 2), F(1, 2)) == 1
     assert jump_count([F(0), F(-1, 2)], F(-1), F(1, 2)) == 3
     assert jump_count([F(0)], F(0), F(1), include_hi=False) == 0
+
+
+def _sends_generators_into(g, src, dst, a):
+    """Does g (dst <- src) send each generator z^ceil(c_j - a) e_j of
+    P_a(src) into P_a(dst) = sum_i z^ceil(d_i - a) O f_i?"""
+    for j, c in enumerate(src):
+        for i, d in enumerate(dst):
+            image = g.entries[i][j].shift(ceil(c - a))
+            if not image.is_zero() and image.val < ceil(d - a):
+                return False
+    return True
+
+
+def test_lattice_morphism_ok_is_the_levelwise_definition(ctx):
+    # weights have denominators <= 6, so every jump of either lattice lies
+    # on the grid a = t/60, and a -> a + 1 multiplies both sides by z^-1,
+    # so one period of the grid decides every level
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(300):
+        src = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        dst = [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+        g = LaurentMatrix(ctx, [
+            [TL.zero(ctx) if rng.random() < 0.3
+             else TL.monomial(ctx, ctx.rational(rng.randint(1, 3)), rng.randint(-2, 2))
+             for _ in src]
+            for _ in dst
+        ])
+        want = all(_sends_generators_into(g, src, dst, F(t, 60)) for t in range(60))
+        assert lattice_morphism_ok(g, src, dst) == want, (src, dst, g.entries)
+        seen.add(want)
+    assert seen == {True, False}

@@ -38,6 +38,10 @@ def mono(ctx, c, e):
     return TL.monomial(ctx, c, e)
 
 
+# every block shape (p, m) with p + m <= 6
+SHAPES = [(p, m) for p in range(1, 7) for m in range(0, 7 - p) if m == 0 or gcd(p, m) == 1]
+
+
 def block21(ctx, weight=F(0)):
     return ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(weight,))
 
@@ -413,9 +417,7 @@ def test_pardeg_is_the_sum_of_the_downstairs_weights(ctx):
     sum of the p*k downstairs weights (c - j)/p, on every block shape with
     p + m <= 6, one to three lines and seeded weights and degrees."""
     rng = random.Random(11)
-    shapes = [(p, m) for p in range(1, 6) for m in range(0, 6 - p)
-              if m == 0 or gcd(p, m) == 1]
-    for p, m in shapes:
+    for p, m in SHAPES:
         for k in (1, 2, 3):
             weights = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(k)]
             degrees = [rng.randint(-3, 3) for _ in range(k)]
@@ -426,3 +428,21 @@ def test_pardeg_is_the_sum_of_the_downstairs_weights(ctx):
             want = sum(b.degrees) - sum(downstairs, F(0))
             got = b.pardeg()
             assert type(got) is F and got == want, (p, m, weights, degrees)
+
+
+def test_block_germ_weights_are_the_realized_weights(ctx):
+    """HiggsGerm.weights() reads a block germ's weights off its blocks; they
+    are the realized lattice's, on every block shape with p + m <= 6 (one or
+    two lines, seeded weights) and on a germ of several blocks."""
+    rng = random.Random(13)
+    blocks = []
+    for p, m in SHAPES:
+        for k in (1, 2):
+            weights = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(k)]
+            radicand = ctx.rational(rng.randint(1, 5)) if m else None
+            b = ElementaryBlock.make(ctx, p, m, weights=weights, radicand=radicand)
+            g = HiggsGerm.from_blocks(ctx, [b])
+            assert g.weights() == list(realize(g).lattice.weights), (p, m, weights)
+            blocks.append(b)
+    g = HiggsGerm.from_blocks(ctx, blocks[:6])
+    assert g.weights() == list(realize(g).lattice.weights)

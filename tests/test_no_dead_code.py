@@ -3,7 +3,8 @@
 A definition counts as referenced when its name occurs, anywhere in the
 Python files of src/, tests/ or perfbench/, as a name, an attribute, an
 import alias or a word of a string constant (the benchmark's tracer names
-the functions it wraps by string).  Dunder methods are exempt.
+the functions it wraps by string).  Docstrings are prose, not code: a name
+that only a docstring mentions is not referenced.  Dunder methods are exempt.
 
 Every name a module of nahmkit imports (apart from `__init__.py`, which
 re-exports, and `__future__` features) is used as a name in that module.
@@ -33,11 +34,22 @@ def _definitions():
     return out
 
 
+def _docstrings(tree):
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None
+    }
+
+
 def _references():
     names = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docstrings = _docstrings(tree)
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
@@ -46,7 +58,11 @@ def _references():
                     names.update(node.name.split("."))
                     if node.asname:
                         names.add(node.asname)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                ):
                     names.update(re.findall(r"\w+", node.value))
     return names
 

@@ -12,12 +12,10 @@ from nahmkit.errors import InputError
 from nahmkit.examples import catalog_names, generate_examples
 from nahmkit.elliptic import a0_check, a3_check
 from nahmkit.field import FieldContext
-from nahmkit.filtered import FilteredLattice
-from nahmkit.lmatrix import LaurentMatrix
 from nahmkit.series import TruncatedLaurent as TL
 
 
-def test_scalar_series_lattice_roundtrip():
+def test_scalar_series_roundtrip():
     ctx = FieldContext(M=12, symbols=("x", "y"))
     x, y = ctx.sym("x"), ctx.sym("y")
     s = (x + 2 * y) / (x + ctx.rational(F(1, 3))) * ctx.zeta(12)
@@ -25,12 +23,6 @@ def test_scalar_series_lattice_roundtrip():
     assert back == s
     t = TL(ctx, -2, (s, ctx.one, x), prec=4)
     assert schema.series_from_json(ctx, schema.series_to_json(t)) == t
-    lat = FilteredLattice(
-        ctx, [F(-1, 4), F(-2, 3)], level=0,
-        frame=LaurentMatrix.identity(ctx, 2),
-    )
-    lat2 = schema.lattice_from_json(ctx, schema.lattice_to_json(lat))
-    assert lat2 == lat
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -119,6 +111,17 @@ def test_cli_examples_listing(capsys):
     assert cli_run(["examples", "pushforward-2-1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["slope_criterion_ok"] is True
+    catalog = ["w", "s1", "s2", "nu1", "nu2"]
+    assert cli_run(["--field", "8,3", "examples", "pushforward-2-1"]) == 0
+    field = json.loads(capsys.readouterr().out)["document"]["field"]
+    assert field == {"M": 8, "symbols": ["x1", "x2", "x3"] + catalog}
+    assert cli_run(["--field", "12,0", "examples", "pushforward-2-1"]) == 0
+    field = json.loads(capsys.readouterr().out)["document"]["field"]
+    assert field == {"M": 12, "symbols": ["x1", "x2"] + catalog}
+    for bad in ("12", "x,1", "0,1"):
+        assert cli_run(["--field", bad, "examples", "pushforward-2-1"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("InputError"), bad
 
 
 def test_cli_malformed_input(tmp_path):
