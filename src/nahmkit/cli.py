@@ -196,6 +196,8 @@ def _field_override(args):
         M, k = int(m_str), int(k_str)
     except ValueError:
         raise InputError("--field expects 'M,k' with integers")
+    if k < 0:
+        raise InputError("--field expects a symbol count k >= 0")
     from .field import FieldContext
 
     extra = tuple(f"x{i}" for i in range(1, max(k, 2) + 1))

@@ -1,9 +1,9 @@
 """Exact linear algebra over the session field, and univariate polynomials.
 
 Matrices are plain lists of lists of Scalars.  One sparse Gauss-Jordan
-elimination, rref, serves rank, kernel and solve (which hand it their dense
-rows as dicts of nonzero entries) and the oracle's truncated models (whose
-rows are sparse already).  The reduced row echelon form is unique, so every
+elimination, rref, serves rank and kernel (which hand it their dense rows
+as dicts of nonzero entries) and the oracle's truncated models (whose rows
+are sparse already).  The reduced row echelon form is unique, so every
 caller sees the same answer whatever order the elimination takes.
 rank_mod_p eliminates the residues of the same sparse rows in F_p
 (field.ResidueMap); its rank is at most the rank over the field, so the
@@ -137,7 +137,14 @@ def rank(mat):
 
 
 def kernel(mat):
-    """Basis of the right kernel as column vectors (lists)."""
+    """Basis of the right kernel as column vectors (lists), in reduced form.
+
+    Vector k belongs to the k-th free (non-pivot) column c_k of the reduced
+    row echelon form: it is 1 at c_k, 0 at every other free column, and
+    nonzero elsewhere only at pivot columns left of c_k, so c_k is its last
+    nonzero entry.  The coordinates of a kernel element in this basis are
+    therefore its entries at c_1, c_2, ... (torus._restrict reads them so).
+    """
     if not mat:
         return []
     ctx = mat[0][0].ctx
@@ -152,23 +159,6 @@ def kernel(mat):
                 v[pc] = -row[fc]
         basis.append(v)
     return basis
-
-
-def solve(mat, rhs):
-    """One solution of mat*x = rhs, or None."""
-    ctx = mat[0][0].ctx
-    cols = len(mat[0])
-    aug = _sparse(mat)
-    for row, b in zip(aug, rhs):
-        if not b.is_zero():
-            row[cols] = b
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == cols:
-        return None
-    x = [ctx.zero] * cols
-    for row, pc in zip(red, pivots):
-        x[pc] = row.get(cols, ctx.zero)
-    return x
 
 
 def charpoly(mat, one):
@@ -296,34 +286,40 @@ def poly_deflate(coeffs, root):
 def scalar_poly_roots(ctx, coeffs, candidates=()):
     """All roots (with multiplicity) of a monic Scalar polynomial, or raise.
 
-    Deflates verified candidate roots, then takes a linear remainder directly
-    and a quadratic one through a perfect-square discriminant.  A remainder
-    of degree 3 or more on which every candidate fails tries the rational
-    roots of its centred form instead (_centred_rational_roots).  Raises
-    FieldExtensionRequired when the polynomial does not split over the
-    session field.
+    Deflates verified candidate roots: zero, the given candidates and then
+    the fallback guesses of _fallback_guess, each guess built only when a
+    sweep reaches it with the remainder still of degree 1 or more.  Then it
+    takes a linear remainder directly and a quadratic one through a
+    perfect-square discriminant.  A remainder of degree 3 or more on which
+    every candidate fails tries the rational roots of its centred form
+    instead (_centred_rational_roots).  Raises FieldExtensionRequired when
+    the polynomial does not split over the session field.
     """
     deg = len(coeffs) - 1
     cand = [ctx.zero]
     for c in candidates:
         if c not in cand:
             cand.append(c)
-    if deg >= 1:
-        # -c1/j are the natural guesses for roots of multiplicity j
-        for j in range(1, deg + 1):
-            c = -(coeffs[1] / ctx.rational(j))
-            if c not in cand:
-                cand.append(c)
-        if not coeffs[-1].is_zero() and not coeffs[-2].is_zero():
-            c = -(coeffs[-1] / coeffs[-2])
-            if c not in cand:
-                cand.append(c)
+    # the deg + 1 fallback guesses follow the candidates; each is built only
+    # when a sweep reaches it with the remainder still unsplit
+    guessed = 0
     roots = []
     cur = list(coeffs)
     progress = True
     while len(cur) > 1 and progress:
         progress = False
-        for c in cand:
+        i = 0
+        while len(cur) > 1:
+            if i == len(cand):
+                if guessed > deg:
+                    break
+                guessed += 1
+                c = _fallback_guess(ctx, coeffs, guessed)
+                if c is None or c in cand:
+                    continue
+                cand.append(c)
+            c = cand[i]
+            i += 1
             while len(cur) > 1 and poly_eval(cur, c).is_zero():
                 roots.append(c)
                 cur = poly_deflate(cur, c)
@@ -357,6 +353,17 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
             mult[r] = 1
             order.append(r)
     return [(r, mult[r]) for r in order]
+
+
+def _fallback_guess(ctx, coeffs, k):
+    """The k-th fallback root guess of a monic polynomial of degree n, or
+    None: -c1/k for k <= n, the natural guess for a root of multiplicity k,
+    then -c_n/c_(n-1) when both are nonzero."""
+    if k < len(coeffs):
+        return -(coeffs[1] / ctx.rational(k))
+    if coeffs[-1].is_zero() or coeffs[-2].is_zero():
+        return None
+    return -(coeffs[-1] / coeffs[-2])
 
 
 # rational-root-theorem candidates are enumerated only for a leading and a

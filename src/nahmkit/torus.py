@@ -240,7 +240,11 @@ def g_equiv(vf, gens=DUAL_GENS, extra_candidates=()):
 
     Returns (spectrum, blocks): reduced dual-torus points and, parallel to
     them, the EndoPair blocks (f restricted to the generalized eigenspaces
-    of each class).  The inverse direction is the identity on this data.
+    of each class).  A class's basis is the concatenation, in spectrum
+    order, of the kernel bases of (f - lambda)^m over its eigenvalues
+    lambda of multiplicity m.  f maps each of those kernels into itself, so
+    the block is block-diagonal, one _restrict per eigenvalue.  The inverse
+    direction is the identity on this data.
     """
     ctx = vf.ctx
     if vf.dim == 0:
@@ -259,12 +263,12 @@ def g_equiv(vf, gens=DUAL_GENS, extra_candidates=()):
     blocks = []
     for key in order:
         pt, vals = groups[key]
-        basis = []
-        for val, mult in vals:
-            basis.extend(linalg.generalized_eigenspace(vf.matrix, val, mult))
-        block = _restrict(ctx, vf.matrix, basis)
+        parts = [
+            _restrict(ctx, vf.matrix, linalg.generalized_eigenspace(vf.matrix, val, mult))
+            for val, mult in vals
+        ]
         spectrum.append(pt)
-        blocks.append(EndoPair(ctx, block, label=vf.label))
+        blocks.append(EndoPair(ctx, _block_diagonal(ctx, parts), label=vf.label))
     if sum(b.dim for b in blocks) != vf.dim:
         raise FieldExtensionRequired(
             "generalized eigenspaces do not span over the session field"
@@ -273,18 +277,23 @@ def g_equiv(vf, gens=DUAL_GENS, extra_candidates=()):
 
 
 def _restrict(ctx, mat, basis):
-    """Matrix of mat on the span of basis (columns), in that basis."""
-    n = len(mat)
-    cols = len(basis)
-    big = [[basis[j][i] for j in range(cols)] for i in range(n)]
-    image = linalg.mat_mul(mat, big)
-    # solve big * X = image column by column
-    out = [[ctx.zero for _ in range(cols)] for _ in range(cols)]
-    for j in range(cols):
-        rhs = [image[i][j] for i in range(n)]
-        x = linalg.solve(big, rhs)
-        if x is None:
-            raise InputError("eigenbasis restriction failed")
-        for i in range(cols):
-            out[i][j] = x[i]
+    """Matrix of mat on the span of basis, in that basis, where basis is a
+    kernel basis (linalg.kernel) of a polynomial in mat.
+
+    mat commutes with that polynomial, so it maps the kernel into itself:
+    mat v_k = sum_j B[j][k] v_j.  Vector v_j is 1 at its free column c_j and
+    every other basis vector is 0 there, so reading that equation at c_j
+    gives B[j][k] = (mat v_k)[c_j], and only the rows c_j of mat are needed.
+    """
+    free = [max(i for i, x in enumerate(v) if not x.is_zero()) for v in basis]
+    return [[sum((x * y for x, y in zip(mat[c], v)), ctx.zero) for v in basis] for c in free]
+
+
+def _block_diagonal(ctx, parts):
+    n = sum(len(p) for p in parts)
+    out = []
+    for p in parts:
+        left = len(out)
+        for row in p:
+            out.append([ctx.zero] * left + row + [ctx.zero] * (n - left - len(row)))
     return out

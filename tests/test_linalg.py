@@ -1,7 +1,7 @@
 """The one Gaussian elimination, the one charpoly and the polynomial
 toolkit over the session field, against sympy.
 
-linalg.rref serves rank, kernel and solve, and the oracle's rank of a
+linalg.rref serves rank and kernel, and the oracle's rank of a
 truncated model where the rank mod p (linalg.rank_mod_p) does not certify
 full column rank; each is compared with sympy's exact rational linear
 algebra on seeded random matrices, and so are linalg.charpoly, poly_divmod
@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from nahmkit import linalg, oracle  # noqa: E402
 from nahmkit.errors import FieldExtensionRequired  # noqa: E402
-from nahmkit.field import FieldContext  # noqa: E402
+from nahmkit.field import FieldContext, Scalar, scalar_sqrt  # noqa: E402
 from nahmkit.higgs import ElementaryBlock, HiggsGerm  # noqa: E402
 from nahmkit.localnahm import build_local_complex  # noqa: E402
 from nahmkit.torus import lattice_vector  # noqa: E402
@@ -87,37 +87,6 @@ def test_kernel_has_nullity_and_is_killed(ctx):
         assert len(basis) == len(fr[0]) - _sympy(fr).rank(), kind
         for v in basis:
             assert _apply(fr, _fracs(v)) == [0] * len(fr), kind
-
-
-def _sympy_solution(fr, rhs):
-    """sympy's particular solution (free parameters at 0), or None."""
-    try:
-        sol, params = _sympy(fr).gauss_jordan_solve(_sympy([[b] for b in rhs]))
-    except ValueError:
-        return None
-    sol = sol.subs({p: 0 for p in params})
-    return [F(int(x.p), int(x.q)) for x in sol]
-
-
-def test_solve_matches_sympy(ctx):
-    rng = random.Random(3)
-    consistent = inconsistent = 0
-    for kind, fr in _cases(4):
-        cols = len(fr[0])
-        if rng.random() < 0.5:
-            rhs = _apply(fr, [F(rng.randint(-5, 5)) for _ in range(cols)])
-        else:
-            rhs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in fr]
-        x = linalg.solve(_scalars(ctx, fr), [ctx.rational(b) for b in rhs])
-        expected = _sympy_solution(fr, rhs)
-        if expected is None:
-            assert x is None, kind
-            inconsistent += 1
-        else:
-            assert x is not None and _fracs(x) == expected, kind
-            assert _apply(fr, _fracs(x)) == rhs, kind
-            consistent += 1
-    assert consistent and inconsistent
 
 
 def test_rank_deficiency_is_singularity(ctx):
@@ -320,3 +289,112 @@ def test_rational_cubic_without_rational_root_does_not_split(ctx):
     cp = [ctx.rational(c) for c in (1, -3, 3, -3)]
     with pytest.raises(FieldExtensionRequired):
         linalg.scalar_poly_roots(ctx, cp)
+
+
+def _eager_roots(ctx, coeffs, candidates=()):
+    """scalar_poly_roots with every fallback guess built before the first
+    trial: the reference for the lazy guesses."""
+    deg = len(coeffs) - 1
+    cand = [ctx.zero]
+    guesses = list(candidates)
+    if deg >= 1:
+        guesses += [-(coeffs[1] / ctx.rational(j)) for j in range(1, deg + 1)]
+        if not coeffs[-1].is_zero() and not coeffs[-2].is_zero():
+            guesses.append(-(coeffs[-1] / coeffs[-2]))
+    for c in guesses:
+        if c not in cand:
+            cand.append(c)
+    roots, cur, progress = [], list(coeffs), True
+    while len(cur) > 1 and progress:
+        progress = False
+        for c in cand:
+            while len(cur) > 1 and linalg.poly_eval(cur, c).is_zero():
+                roots.append(c)
+                cur = linalg.poly_deflate(cur, c)
+                progress = True
+        if len(cur) == 2:
+            roots.append(-(cur[1] / cur[0]))
+            cur = cur[:1]
+        elif len(cur) == 3 and not progress:
+            s = scalar_sqrt(cur[1] * cur[1] - 4 * cur[2])
+            if s is not None:
+                half = ctx.rational(F(1, 2))
+                roots += [(-cur[1] + s) * half, (-cur[1] - s) * half]
+                cur, progress = cur[:1], True
+        elif len(cur) > 3 and not progress:
+            cand = [c for c in linalg._centred_rational_roots(ctx, cur) if c not in cand]
+            progress = bool(cand)
+    if len(cur) > 1:
+        raise FieldExtensionRequired("no split")
+    mult = {}
+    for r in roots:
+        mult[r] = mult.get(r, 0) + 1
+    return list(mult.items())
+
+
+def _triangular_charpolys(ctx, seed):
+    """(charpoly, diagonal) of seeded triangular matrices over
+    Q(zeta_12)(x1, x2) and of their shifts by a dual-lattice vector."""
+    rng = random.Random(seed)
+    x1, x2 = ctx.sym("x1"), ctx.sym("x2")
+    pool = [x1, x2, x1 + ctx.one, ctx.rational(F(-2, 3))]
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        diag = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.5:
+            nu = lattice_vector(ctx, rng.randint(-5, 5), rng.randint(-5, 5))
+            diag = [d + nu for d in diag]
+        mat = [[diag[i] if i == j else ctx.rational(rng.randint(0, 2)) if i < j else ctx.zero
+                for j in range(n)] for i in range(n)]
+        yield linalg.charpoly(mat, ctx.one), diag
+
+
+def test_fallback_guesses_are_built_lazily(monkeypatch):
+    """On triangular charpolys the diagonal candidates split the polynomial
+    first, so no -c_n/c_(n-1) quotient is formed; there, on the split
+    rational cubics and on (T - 1)^2 (T + 1) the roots, their order and the
+    number of trials are those of the eager reference."""
+    ctx = FieldContext(M=12, symbols=("x1", "x2", "nu1", "nu2"))
+    quotients = []
+    trials = []
+    divide, evaluate = Scalar.__truediv__, linalg.poly_eval
+
+    def counting_divide(a, b):
+        quotients.append((a, b))
+        return divide(a, b)
+
+    def counting_evaluate(coeffs, x):
+        trials.append(x)
+        return evaluate(coeffs, x)
+
+    monkeypatch.setattr(Scalar, "__truediv__", counting_divide)
+    monkeypatch.setattr(linalg, "poly_eval", counting_evaluate)
+
+    def run(roots, cp, cand):
+        quotients.clear()
+        trials.clear()
+        return roots(ctx, cp, candidates=cand), len(trials), list(quotients)
+
+    eagerly_formed = 0
+    for cp, diag in _triangular_charpolys(ctx, 11):
+        lazy, lazy_trials, formed = run(linalg.scalar_poly_roots, cp, diag)
+        assert (cp[-1], cp[-2]) not in formed
+        eager, eager_trials, formed = run(_eager_roots, cp, diag)
+        assert (lazy, lazy_trials) == (eager, eager_trials)
+        eagerly_formed += (cp[-1], cp[-2]) in formed
+    assert eagerly_formed
+    # the split rational cubics, their lattice shifts and (T - 1)^2 (T + 1)
+    cases = [([ctx.rational(c) for c in (1, -1, -1, 1)], [])]
+    P = _sympy([[1, 1, 0], [0, 1, 1], [1, 0, 2]])
+    nu = lattice_vector(ctx, 1, -1)
+    for D in ((1, 5, 11), (2, 3, 7)):
+        mat = _scalars(ctx, [[F(int(x.p), int(x.q)) for x in row]
+                             for row in (P * sympy.diag(*D) * P.inv()).tolist()])
+        for shift in (ctx.zero, nu):
+            m = [[x + shift if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(mat)]
+            cases.append((linalg.charpoly(m, ctx.one), [m[i][i] for i in range(3)]))
+    for cp, cand in cases:
+        lazy = run(linalg.scalar_poly_roots, cp, cand)
+        assert lazy[:2] == run(_eager_roots, cp, cand)[:2]
+        assert sum(m for _, m in lazy[0]) == len(cp) - 1

@@ -118,7 +118,7 @@ def test_cli_examples_listing(capsys):
     assert cli_run(["--field", "12,0", "examples", "pushforward-2-1"]) == 0
     field = json.loads(capsys.readouterr().out)["document"]["field"]
     assert field == {"M": 12, "symbols": ["x1", "x2"] + catalog}
-    for bad in ("12", "x,1", "0,1"):
+    for bad in ("12", "x,1", "0,1", "12,-1"):
         assert cli_run(["--field", bad, "examples", "pushforward-2-1"]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith("InputError"), bad

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nahmkit import field, linalg
 from nahmkit.errors import FieldExtensionRequired
 from nahmkit.field import FieldContext
 from nahmkit.torus import (
@@ -100,3 +101,138 @@ def test_g_equiv_field_extension(ctx):
     vf = EndoPair(ctx, [[ctx.zero, a], [ctx.one, ctx.zero]])
     with pytest.raises(FieldExtensionRequired):
         g_equiv(vf)
+
+
+def _conjugate(ctx, rng, mat):
+    """mat conjugated by three seeded elementary matrices I + a E_ij, whose
+    inverses are I - a E_ij: add a times row j to row i, then subtract a
+    times column i from column j."""
+    n = len(mat)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        a = ctx.rational(rng.choice((1, -1, 2, F(1, 2))))
+        mat = [row[:] for row in mat]
+        mat[i] = [x + a * y for x, y in zip(mat[i], mat[j])]
+        for row in mat:
+            row[j] = row[j] - a * row[i]
+    return mat
+
+
+def _block_cases(ctx, seed):
+    """(matrix, eigenvalue candidates) pairs over Q(zeta_12)(x1, x2):
+    triangular ones with a seeded diagonal and upper part (a repeated
+    diagonal value with a nonzero entry above it is a Jordan block), a
+    fixed Jordan block, a pair of eigenvalues congruent modulo the dual
+    lattice, and the conjugates of those of size at most 3 by a seeded
+    rational matrix."""
+    rng = random.Random(seed)
+    x1, x2 = ctx.sym("x1"), ctx.sym("x2")
+    pool = [x1, x2, x1 + ctx.one, ctx.rational(F(-1, 2)), ctx.zero]
+    fixed = [
+        [x1, x2 + ctx.one],
+        [x1, x1, x2],
+        [x1, x1 + lattice_vector(ctx, 1, -2), ctx.rational(3)],
+    ]
+    diagonals = fixed + [[rng.choice(pool) for _ in range(rng.randint(2, 4))] for _ in range(6)]
+    cases = []
+    for diag in diagonals:
+        n = len(diag)
+        tri = [[diag[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                tri[i][j] = ctx.rational(rng.choice((0, 1, 2, F(-1, 3))))
+        tri[0][1] = ctx.one
+        cases.append((tri, diag))
+        if n <= 3:
+            cases.append((_conjugate(ctx, rng, tri), diag))
+    return cases
+
+
+def _restrict_by_solving(ctx, mat, basis):
+    """The matrix X with basis * X = mat * basis, column by column through
+    the reduced row echelon form of [basis | mat v_k]."""
+    n, d = len(mat), len(basis)
+    big = [[basis[k][i] for k in range(d)] for i in range(n)]
+    image = linalg.mat_mul(mat, big)
+    out = [[None] * d for _ in range(d)]
+    for k in range(d):
+        rows = [{j: x for j, x in enumerate(big[i] + [image[i][k]]) if not x.is_zero()}
+                for i in range(n)]
+        red, pivots = linalg.rref(rows)
+        assert pivots == list(range(d))
+        for j, row in enumerate(red):
+            out[j][k] = row.get(d, ctx.zero)
+    return out
+
+
+def _same_sum(ctx, xs, ys):
+    """Whether sum(xs) == sum(ys), decided in the polynomial ring: each side
+    is put over the product of its distinct denominators and the two are
+    cross-multiplied.  No gcd is taken, because adding two rational
+    functions through Scalar normalizes through p_gcd, which takes seconds
+    on some of these sums."""
+    cf = ctx.cyc
+
+    def over_product(terms):
+        # denominator -> (that denominator, sum of the numerators over it)
+        parts = {}
+        for x in terms:
+            key = tuple(sorted(x.den.items()))
+            d, part = parts.get(key, (x.den, {}))
+            parts[key] = (d, field.p_add(cf, part, x.num))
+        num, den = {}, ctx.one.num
+        for d, part in parts.values():
+            num = field.p_add(cf, field.p_mul(cf, num, d), field.p_mul(cf, part, den))
+            den = field.p_mul(cf, den, d)
+        return num, den
+
+    nx, dx = over_product(xs)
+    ny, dy = over_product(ys)
+    return field.p_mul(cf, nx, dy) == field.p_mul(cf, ny, dx)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_blocks_are_the_restriction(ctx, seed, monkeypatch):
+    """f V = V B exactly, where V is the concatenated eigenbasis and B the
+    block diagonal of g_equiv's blocks, and each block is the restriction of
+    f to its class's span found by solving, on each matrix and its shift."""
+    found = []
+    eigenspace = linalg.generalized_eigenspace
+
+    def recording(mat, val, mult):
+        found.append(eigenspace(mat, val, mult))
+        return found[-1]
+
+    monkeypatch.setattr(linalg, "generalized_eigenspace", recording)
+    rng = random.Random(seed)
+    zero = ctx.zero
+    jordan = congruent = 0
+    for mat, diag in _block_cases(ctx, seed):
+        nu = lattice_vector(ctx, rng.randint(-3, 3), rng.randint(-3, 3))
+        for f, cand in ((mat, diag), (EndoPair(ctx, mat).shift(nu).matrix, [d + nu for d in diag])):
+            found.clear()
+            spectrum, blocks = g_equiv(EndoPair(ctx, f), extra_candidates=cand)
+            n = len(f)
+            assert sum(b.dim for b in blocks) == n
+            V = [[v[i] for basis in found for v in basis] for i in range(n)]
+            B = [[zero] * n for _ in range(n)]
+            at = 0
+            for blk in blocks:
+                class_basis = []
+                while len(class_basis) < blk.dim:
+                    class_basis += found.pop(0)
+                assert len(class_basis) == blk.dim
+                assert blk.matrix == _restrict_by_solving(ctx, f, class_basis)
+                for i, row in enumerate(blk.matrix):
+                    B[at + i][at:at + blk.dim] = row
+                at += blk.dim
+            assert not found
+            for i in range(n):
+                for k in range(n):
+                    assert _same_sum(ctx, [f[i][t] * V[t][k] for t in range(n)],
+                                     [V[i][j] * B[j][k] for j in range(n)]), (i, k)
+            jordan += any(
+                blk.matrix[i][j] != zero
+                for blk in blocks for i in range(blk.dim) for j in range(blk.dim) if i != j)
+            congruent += len(spectrum) < len(set(diag))
+    assert jordan and congruent
