@@ -25,7 +25,7 @@ def example_context():
     return FieldContext(M=12, symbols=EXAMPLE_SYMBOLS)
 
 
-def _pt(ctx, q1=0, q2=0, sym=None):
+def _pt(q1=0, q2=0, sym=None):
     return TorusPoint("T_dual", q1, q2, sym=sym or {}, is_lift=True)
 
 
@@ -37,7 +37,7 @@ def tame_rank1(ctx, alpha=None, weight=Fraction(-1, 4), degree=0):
     """Rank-1 tame datum at a symbolic position."""
     alpha = ctx.sym("x1") if alpha is None else alpha
     b = ElementaryBlock.make(ctx, 1, 0, alpha=alpha, weights=(weight,), degrees=(degree,))
-    sp = SingularPoint(_pt(ctx, sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
+    sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
     return _higgs(ctx, [sp])
 
 
@@ -46,7 +46,7 @@ def pushforward(ctx, p, m, lead=None, weight=Fraction(0), degree=0):
     u-degree m along the degree-p covering."""
     lead = ctx.sym("x1") if lead is None else lead
     b = ElementaryBlock.make(ctx, p, m, lead=lead, weights=(weight,), degrees=(degree,))
-    sp = SingularPoint(_pt(ctx, sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
+    sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
     return _higgs(ctx, [sp])
 
 
@@ -54,7 +54,7 @@ def _line_bundle(ctx):
     """Rank-1 filtered-bundle datum: the pulled-back line bundle model."""
     b = ElementaryBlock.make(ctx, 1, 0, weights=(Fraction(-1, 4),), degrees=(0,))
     sp = SingularPoint(
-        _pt(ctx, Fraction(1, 3), Fraction(1, 5)),
+        _pt(Fraction(1, 3), Fraction(1, 5)),
         HiggsGerm.from_blocks(ctx, [b], "infinity"),
     )
     return FilteredBundleData(ctx, [sp])
@@ -72,8 +72,8 @@ def _mixed_suite(ctx):
         ctx, 3, 2, lead=ctx.sym("x2"), weights=(Fraction(-3, 4),), degrees=(0,)
     )
     pts = [
-        SingularPoint(_pt(ctx, sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b21, b10], "finite")),
-        SingularPoint(_pt(ctx, Fraction(1, 2), Fraction(1, 2)), HiggsGerm.from_blocks(ctx, [b32], "finite")),
+        SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b21, b10], "finite")),
+        SingularPoint(_pt(Fraction(1, 2), Fraction(1, 2)), HiggsGerm.from_blocks(ctx, [b32], "finite")),
     ]
     return _higgs(ctx, pts)
 
@@ -88,7 +88,7 @@ def _catalog():
         "tame-rank1-degenerate": (
             "trivial-Higgs rank-1 datum (fails the concentration condition)",
             lambda ctx: _higgs(ctx, [SingularPoint(
-                _pt(ctx),
+                _pt(),
                 HiggsGerm.from_blocks(
                     ctx,
                     [ElementaryBlock.make(ctx, 1, 0, weights=(Fraction(0),))],

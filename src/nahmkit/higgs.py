@@ -12,11 +12,16 @@ leading data is stored through its in-field invariant, the radicand
 A = a_m^p (the session field need not contain the p-th roots themselves).
 
 Matrix pathway: a germ is a filtered lattice plus the matrix A of
-theta = A dz/z in the compatible frame.  Decomposition is Newton polygon of
-the characteristic polynomial, Hensel factorization along the polygon,
-kernel splitting, and recursion; failures are honest errors
-(NotAdmissible / FieldExtensionRequired / PrecisionExhausted), never
-guesses.
+theta = A dz/z in the compatible frame.  The slope and the type
+decompositions share one leading-form split: on the p-fold cover with
+T = s^{-m} S the characteristic polynomial becomes integral, a coprime
+factorization f0 * g0 of its leading form is Hensel-lifted, and the germ is
+split along the two lifted factors by kernels.  The slope split takes f0
+from the top segment of the Newton polygon, the type split from one Galois
+orbit of the residue.  Each part is certified by slope_check once and
+carries its characteristic polynomial on to the next step.  Failures are
+honest errors (NotAdmissible / FieldExtensionRequired / PrecisionExhausted),
+never guesses.
 """
 
 from __future__ import annotations
@@ -263,6 +268,14 @@ class HiggsGerm:
     def __repr__(self):
         kind = "canonical" if self.is_canonical() else "matrix"
         return f"HiggsGerm({kind}, rank={self.rank}, coord={self.coord})"
+
+
+def _grouped(blocks, key):
+    """[(key, [blocks with that key])], keys in first-seen order."""
+    groups = {}
+    for b in blocks:
+        groups.setdefault(key(b), []).append(b)
+    return list(groups.items())
 
 
 def recommended_precision(p, m, weights):
@@ -611,13 +624,12 @@ def compatible_subframe(ctx, weights, vecs, guard=400):
     raise PrecisionExhausted("compatible-frame reduction did not stabilize")
 
 
-def _split_by_factors(germ, factor_list):
+def _split_by_factors(g, factor_list):
     """Split a matrix germ along pairwise-coprime charpoly factors.
 
     factor_list: list of descending TruncatedLaurent coefficient lists.
     Returns list of sub-germs (matrix form) in the same order.
     """
-    g = realize(germ)
     ctx = g.ctx
     A = g.theta
     r = A.rows
@@ -673,97 +685,41 @@ def _split_by_factors(germ, factor_list):
 
 
 # ----------------------------------------------------------------------
-# slope decomposition
+# the leading-form split (shared by the slope and type decompositions)
 # ----------------------------------------------------------------------
 
 
-def germ_newton_slopes(germ):
-    """Newton-polygon slopes of det(T - theta-matrix) with multiplicities."""
-    g = realize(germ)
-    return newton_polygon(charpoly(g.theta))
-
-
-def slope_decomposition(germ):
-    """Split a germ into pure-slope parts; returns [(germ, (p, m))].
-
-    Slopes <= 0 collapse to the logarithmic part (1, 0).  Raises
-    NotAdmissible when the germ does not split over the session field.
-    """
-    if germ.is_canonical():
-        groups = {}
-        order = []
-        for b in germ.blocks:
-            key = (b.p, b.m) if b.m else (1, 0)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(b)
-        return [
-            (HiggsGerm.from_blocks(germ.ctx, groups[k], germ.coord), k)
-            for k in sorted(order, key=lambda t: Fraction(t[1], t[0]))
-        ]
-    return _matrix_slope_decomposition(germ)
-
-
-def _slope_to_pm(mu):
-    if mu <= 0:
-        return (1, 0)
-    return (mu.denominator, mu.numerator)
-
-
-def _matrix_slope_decomposition(germ):
-    g = realize(germ)
-    ctx = g.ctx
-    slopes = germ_newton_slopes(g)
-    pm_groups = {}
-    for mu, mult in slopes:
-        pm = _slope_to_pm(mu)
-        pm_groups[pm] = pm_groups.get(pm, 0) + mult
-    pms = sorted(pm_groups, key=lambda t: Fraction(t[1], t[0]))
-    needed = max(
-        recommended_precision(p, m, g.lattice.weights) for p, m in pms
-    )
-    if g.theta.precision() < needed:
-        raise PrecisionExhausted(
-            f"germ needs working precision >= {needed} to certify its "
-            f"decomposition (matrix known to {g.theta.precision()})"
-        )
-    if len(pms) == 1:
-        p, m = pms[0]
-        ok, _ = slope_check(g, p, m)
-        if not ok:
-            raise NotAdmissible(
-                f"single Newton slope {m}/{p} but the lattice certificate fails"
-            )
-        return [(g, (p, m))]
-    # split off the top slope group, recurse on the rest
-    cp = charpoly(g.theta)
-    top = pms[-1]
-    mu_top = Fraction(top[1], top[0])
-    F, G = _newton_factor(ctx, cp, mu_top, pm_groups[top])
-    sub_top, sub_rest = _split_by_factors(g, [F, G])
-    out = _matrix_slope_decomposition(sub_rest)
-    okc, _ = slope_check(sub_top, *top)
-    if not okc:
-        raise NotAdmissible(f"slope-{top[1]}/{top[0]} part fails its certificate")
-    return out + [(sub_top, top)]
-
-
-def _newton_factor(ctx, cp, mu, mult):
-    """Factor the charpoly into (top-slope part of degree mult, rest).
-
-    On the p-fold cover with T = s^{-m} S (mu = m/p) the polynomial becomes
-    integral; its mod-s part factors as f0 * S^(r - mult).
-    """
-    p, m = mu.denominator, mu.numerator
+def _cover_form(cp, p, m):
+    """The charpoly cp on the p-fold cover with T = s^{-m} S: the
+    coefficients c_i(s^p) s^(m i), which must be integral.  Their constant
+    terms are the graded leading form phi(S) (descending, monic)."""
     ctil = [c.substitute_power(p).shift(m * i) for i, c in enumerate(cp)]
     if any(c.coeffs and c.val < 0 for c in ctil):
-        raise NotAdmissible("Newton normalization failed (slope not maximal)")
-    f0 = [c.coeff(0) for c in ctil[:mult + 1]]
-    if f0[0].is_zero() or f0[-1].is_zero():
-        raise NotAdmissible("top Newton segment is not separated")
-    g0 = [ctx.one] + [ctx.zero] * (len(cp) - 1 - mult)
-    return _graded_hensel(ctx, cp, p, m, f0, g0)
+        raise NotAdmissible(f"slope {m}/{p} is not the top slope of the charpoly")
+    return ctil
+
+
+def _leading_split(g, ctil, p, m, f0):
+    """Split a matrix germ along a factor f0 of the leading form phi of its
+    cover form ctil.
+
+    g0 = phi / f0; the coprime pair (f0, g0) is Hensel-lifted on the cover,
+    descended to charpoly factors F and G, and the germ split along them.
+    Returns [(part, its charpoly)] for F, then for G.
+    """
+    ctx = g.ctx
+    g0, rem = linalg.poly_divmod(ctx, [c.coeff(0) for c in ctil], f0)
+    if not (len(rem) == 1 and rem[0].is_zero()):
+        raise NotAdmissible("factor does not divide the leading form")
+    prec = min(
+        int(c.eff_prec()) if c.eff_prec() != float("inf") else 10 ** 6 for c in ctil
+    )
+    prec = min(prec, max(8, DEFAULT_PRECISION * p))
+    factors = [
+        [_descend_series(ctx, c.shift(-m * i), p) for i, c in enumerate(lifted)]
+        for lifted in hensel_split(ctx, ctil, f0, g0, prec)
+    ]
+    return [(part, charpoly(part.theta)) for part in _split_by_factors(g, factors)]
 
 
 def _descend_series(ctx, c, phat):
@@ -788,6 +744,79 @@ def _descend_series(ctx, c, phat):
 
 
 # ----------------------------------------------------------------------
+# slope decomposition
+# ----------------------------------------------------------------------
+
+
+def germ_newton_slopes(germ):
+    """Newton-polygon slopes of det(T - theta-matrix) with multiplicities."""
+    g = realize(germ)
+    return newton_polygon(charpoly(g.theta))
+
+
+def slope_decomposition(germ):
+    """Split a germ into pure-slope parts; returns [(germ, (p, m))].
+
+    Slopes <= 0 collapse to the logarithmic part (1, 0).  Raises
+    NotAdmissible when the germ does not split over the session field.
+    """
+    if germ.is_canonical():
+        groups = _grouped(germ.blocks, lambda b: (b.p, b.m) if b.m else (1, 0))
+        return [
+            (HiggsGerm.from_blocks(germ.ctx, blocks, germ.coord), pm)
+            for pm, blocks in sorted(groups, key=lambda grp: Fraction(grp[0][1], grp[0][0]))
+        ]
+    return [(part, pm) for part, _, pm in _slope_parts(germ, charpoly(germ.theta))]
+
+
+def _slope_to_pm(mu):
+    if mu <= 0:
+        return (1, 0)
+    return (mu.denominator, mu.numerator)
+
+
+def _slope_parts(g, cp):
+    """Pure-slope parts of a matrix germ with charpoly cp, by ascending
+    slope: [(part, its charpoly, (p, m))].
+
+    The top slope group is split off along the top Newton segment f0 of the
+    leading form and the rest recursed on; each part passes slope_check
+    once.
+    """
+    pm_groups = {}
+    for mu, mult in newton_polygon(cp):
+        pm = _slope_to_pm(mu)
+        pm_groups[pm] = pm_groups.get(pm, 0) + mult
+    pms = sorted(pm_groups, key=lambda t: Fraction(t[1], t[0]))
+    needed = max(
+        recommended_precision(p, m, g.lattice.weights) for p, m in pms
+    )
+    if g.theta.precision() < needed:
+        raise PrecisionExhausted(
+            f"germ needs working precision >= {needed} to certify its "
+            f"decomposition (matrix known to {g.theta.precision()})"
+        )
+    p, m = pms[-1]
+    if len(pms) == 1:
+        if not slope_check(g, p, m)[0]:
+            raise NotAdmissible(
+                f"single Newton slope {m}/{p} but the lattice certificate fails"
+            )
+        return [(g, cp, (p, m))]
+    # past the top segment every cover coefficient has positive valuation,
+    # so the leading form is f0 * S^(r - mult)
+    ctil = _cover_form(cp, p, m)
+    f0 = [c.coeff(0) for c in ctil[:pm_groups[p, m] + 1]]
+    if f0[-1].is_zero():
+        raise NotAdmissible("top Newton segment is not separated")
+    (top, cp_top), (rest, cp_rest) = _leading_split(g, ctil, p, m, f0)
+    out = _slope_parts(rest, cp_rest)
+    if not slope_check(top, p, m)[0]:
+        raise NotAdmissible(f"slope-{m}/{p} part fails its certificate")
+    return out + [(top, cp_top, (p, m))]
+
+
+# ----------------------------------------------------------------------
 # type decomposition (refinement by residue orbits)
 # ----------------------------------------------------------------------
 #
@@ -795,23 +824,6 @@ def _descend_series(ctx, c, phat):
 # ("irr", radicand) otherwise, carrying actual session scalars; the radicand
 # is the p-th power of the leading coefficient of the irregular part, the
 # in-field invariant of the Galois orbit.
-
-
-def _phi_poly(ctx, cp, p, m):
-    """Graded leading form of the charpoly of a pure-slope germ.
-
-    On the p-fold cover with T = s^{-m} S the polynomial becomes integral;
-    the mod-s part phi(S) carries the residue data.  Returns the scalar
-    coefficient list of phi (descending, monic)."""
-    phi = []
-    for i, c in enumerate(cp):
-        cs = c.substitute_power(p).shift(m * i)
-        if cs.coeffs and cs.val < 0:
-            raise NotAdmissible("germ is not of pure slope m/p")
-        phi.append(cs.coeff(0))
-    if phi[0].is_zero():
-        raise InputError("charpoly is not monic")
-    return phi
 
 
 def _power_factor(ctx, base, mult):
@@ -869,74 +881,44 @@ def _orbit_label_of_block(b):
     return ("irr", b.radicand)
 
 
-def type_decomposition(germ, cert=None):
+def type_decomposition(germ):
     """Refine a pure-slope germ by Galois orbits of the residue.
 
     Returns [(germ, (p, m, label))] with label = ("tame", alpha) or
-    ("irr", radicand).
+    ("irr", radicand).  A canonical germ is grouped by block orbit; a
+    matrix germ is certified pure-slope by the slope split and then split
+    by the same leading-form split, one orbit factor at a time.
     """
     if germ.is_canonical():
-        groups = {}
-        order = []
-        for b in germ.blocks:
-            key = b.orbit_key()[:3]
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(b)
         out = []
-        for k in order:
-            blocks = groups[k]
-            pm = (blocks[0].p, blocks[0].m) if blocks[0].m else (1, 0)
-            out.append(
-                (
-                    HiggsGerm.from_blocks(germ.ctx, blocks, germ.coord),
-                    (pm[0], pm[1], _orbit_label_of_block(blocks[0])),
-                )
-            )
+        for _, blocks in _grouped(germ.blocks, lambda b: b.orbit_key()[:3]):
+            b = blocks[0]
+            pm = (b.p, b.m) if b.m else (1, 0)
+            out.append((
+                HiggsGerm.from_blocks(germ.ctx, blocks, germ.coord),
+                pm + (_orbit_label_of_block(b),),
+            ))
         return out
-    g = realize(germ)
-    ctx = g.ctx
-    if cert is None:
-        dec = slope_decomposition(g)
-        if len(dec) != 1:
-            raise InputError("type decomposition expects a pure-slope germ")
-        g, (p, m) = dec[0]
-    else:
-        p, m = cert.p, cert.m
-    groups = _orbit_groups_from_phi(ctx, _phi_poly(ctx, charpoly(g.theta), p, m), p, m)
+    parts = _slope_parts(germ, charpoly(germ.theta))
+    if len(parts) != 1:
+        raise InputError("type decomposition expects a pure-slope germ")
+    g, cp, (p, m) = parts[0]
+    return [(part, (p, m, label)) for part, _, label in _orbit_parts(g, cp, p, m)]
+
+
+def _orbit_parts(g, cp, p, m):
+    """Galois-orbit parts of a pure-slope (p, m) matrix germ with charpoly
+    cp: [(part, its charpoly, label)].  Every orbit factor of the leading
+    form but the last is split off in turn."""
+    ctil = _cover_form(cp, p, m)
+    groups = _orbit_groups_from_phi(g.ctx, [c.coeff(0) for c in ctil], p, m)
     out = []
-    rest = g
-    while len(groups) > 1:
-        label, f0 = groups[0]
-        cp_rest = charpoly(realize(rest).theta)
-        g0, rem = linalg.poly_divmod(ctx, _phi_poly(ctx, cp_rest, p, m), f0)
-        if not (len(rem) == 1 and rem[0].is_zero()):
-            raise NotAdmissible("orbit factor does not divide the leading form")
-        F, G = _graded_hensel(ctx, cp_rest, p, m, f0, g0)
-        part, rest = _split_by_factors(rest, [F, G])
-        out.append((part, (p, m, label)))
-        groups = groups[1:]
-    out.append((rest, (p, m, groups[0][0])))
+    for label, f0 in groups[:-1]:
+        (part, cp_part), (g, cp) = _leading_split(g, ctil, p, m, f0)
+        out.append((part, cp_part, label))
+        ctil = _cover_form(cp, p, m)
+    out.append((g, cp, groups[-1][0]))
     return out
-
-
-def _graded_hensel(ctx, cp, p, m, f0, g0):
-    """Hensel-lift a leading-form factorization of a pure-slope charpoly."""
-    ctil = [c.substitute_power(p).shift(m * i) for i, c in enumerate(cp)]
-    prec = min(
-        int(c.eff_prec()) if c.eff_prec() != float("inf") else 10 ** 6 for c in ctil
-    )
-    prec = min(prec, max(8, DEFAULT_PRECISION * p))
-    Fs, Gs = hensel_split(ctx, ctil, f0, g0, prec)
-
-    def descend(coeff_list):
-        return [
-            _descend_series(ctx, c.shift(-m * i), p)
-            for i, c in enumerate(coeff_list)
-        ]
-
-    return descend(Fs), descend(Gs)
 
 
 # ----------------------------------------------------------------------
@@ -1004,18 +986,18 @@ def _upstairs_weights(down_weights, p):
     return ups
 
 
-def _recognize_block(germ, p, m, label):
-    """Canonical block data of a recognized pure-type matrix germ.
+def _recognize_block(g, cp, p, m, label):
+    """Canonical block data of a recognized pure-type matrix germ with
+    charpoly cp.
 
     Recovers (p, m, radicand, alpha, upstairs weights) and verifies the
-    claim by comparing characteristic polynomials with the realized
-    monomial elementary model at the available precision; germs whose
-    irregular part has sub-leading structure (a tail) are refused here, not
-    guessed -- supply them canonically.  The nilpotent part is not
-    reconstructed (the preserved equivalence is type and weights).
+    claim by comparing cp with the charpoly of the realized monomial
+    elementary model at the available precision; germs whose irregular part
+    has sub-leading structure (a tail) are refused here, not guessed --
+    supply them canonically.  The nilpotent part is not reconstructed (the
+    preserved equivalence is type and weights).
     """
-    ctx = germ.ctx
-    g = realize(germ)
+    ctx = g.ctx
     r = g.lattice.rank
     if r % p:
         raise NotAdmissible("rank not divisible by covering degree")
@@ -1037,11 +1019,10 @@ def _recognize_block(germ, p, m, label):
     # verify the eigen-data against the monomial model; the filtered side is
     # already pinned by the weights and the slope certificate
     _, model_theta = realize_block(ctx, block)
-    cp_g = charpoly(g.theta)
     cp_b = charpoly(model_theta)
-    bound = min(c.eff_prec() for c in cp_g)
+    bound = min(c.eff_prec() for c in cp)
     bound = min(bound, recommended_precision(p, m, weights_up))
-    for cg, cb in zip(cp_g, cp_b):
+    for cg, cb in zip(cp, cp_b):
         if not cg.agrees_with(cb, prec=bound):
             raise NotAdmissible(
                 "eigenvalue data does not match a monomial elementary model "
@@ -1074,29 +1055,18 @@ def goodness_decomposition(germ):
     failure, never silently accepted.
     """
     if germ.is_canonical():
-        groups = {}
-        order = []
-        for b in germ.blocks:
-            key = b.orbit_key()[:4]  # irregularity orbit: without alpha
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(b)
-        out = [
-            {
-                "p": groups[k][0].p,
-                "m": groups[k][0].m,
-                "orbit": _orbit_label_of_block(groups[k][0]),
-                "blocks": list(groups[k]),
-            }
-            for k in order
-        ]
-        return GoodnessResult(groups=out, good=True)
+        # grouped by irregularity orbit: the orbit key without alpha
+        groups = _grouped(germ.blocks, lambda b: b.orbit_key()[:4])
+        return GoodnessResult(groups=[
+            {"p": blocks[0].p, "m": blocks[0].m,
+             "orbit": _orbit_label_of_block(blocks[0]), "blocks": blocks}
+            for _, blocks in groups
+        ], good=True)
     parts = []
-    for sub, (p, m) in slope_decomposition(germ):
-        for tsub, (_, _, label) in type_decomposition(sub, cert=_cert_of(sub, p, m)):
+    for sub, cp, (p, m) in _slope_parts(germ, charpoly(germ.theta)):
+        for tsub, tcp, label in _orbit_parts(sub, cp, p, m):
             try:
-                block = _recognize_block(tsub, p, m, label)
+                block = _recognize_block(tsub, tcp, p, m, label)
             except NotAdmissible as exc:
                 return GoodnessResult(
                     groups=[], good=False,
@@ -1113,15 +1083,8 @@ def goodness_decomposition(germ):
     return GoodnessResult(groups=parts, good=True)
 
 
-def _cert_of(germ, p, m):
-    ok, cert = slope_check(germ, p, m)
-    if not ok:
-        raise NotAdmissible(f"slope certificate ({p},{m}) failed")
-    return cert
-
-
 # ----------------------------------------------------------------------
-# admissibility, endomorphism germs, candidate types
+# admissibility and endomorphism germs
 # ----------------------------------------------------------------------
 
 
@@ -1154,28 +1117,3 @@ def endo_germ_wrap(lattice, gmat):
     theta = gmat.shift(-1).scale(gmat.ctx.rational(-1))
     return HiggsGerm.from_matrix(lattice, theta, coord="infinity")
 
-
-def candidate_types(germ):
-    """Newton-polygon-level type candidates [(p, m, label-or-None, mult)].
-
-    This is the charpoly-level classification (used by the endomorphism
-    wrap); lattice-level certification is slope_check's job.
-    """
-    g = realize(germ)
-    ctx = g.ctx
-    out = []
-    for mu, mult in germ_newton_slopes(g):
-        p, m = _slope_to_pm(mu)
-        labels = None
-        try:
-            cp = charpoly(g.theta)
-            if len(slope_decomposition(g)) == 1:
-                phi = _phi_poly(ctx, cp, p, m)
-                labels = [lab for lab, _f in _orbit_groups_from_phi(ctx, phi, p, m)]
-        except (NotAdmissible, FieldExtensionRequired, PrecisionExhausted, InputError):
-            labels = None
-        if labels and len(labels) == 1:
-            out.append((p, m, labels[0], mult))
-        else:
-            out.append((p, m, None, mult))
-    return out

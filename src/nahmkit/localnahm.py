@@ -48,11 +48,6 @@ def c0_level(block):
     return -LEVEL_HALF - block.slope
 
 
-def c1_level(block):
-    """Level of C1 for the non-exceptional parts (tensor Omega implicit)."""
-    return LEVEL_HALF
-
-
 def _gen_exponent(weight, level):
     """Exponent n of the generator z^n e of P_level on a weight-`weight`
     line: the smallest n with weight - n <= level."""
@@ -118,7 +113,7 @@ class LocalComplexLattices:
         return sum(p.index for p in self.parts)
 
 
-def build_local_complex(germ, certificate=None):
+def build_local_complex(germ):
     """Assemble C0/C1 blockwise at the displayed levels.
 
     Canonical germs are used directly; matrix germs are first decomposed
@@ -150,7 +145,8 @@ def build_local_complex(germ, certificate=None):
                             c1[s] = min(c1[s], n0[t] - 1)
             c1 = tuple(c1)
         else:
-            c1 = tuple(_gen_exponent(w, c1_level(b)) for w in dw)
+            # C1 = P_{1/2} (x) Omega on the non-exceptional parts
+            c1 = tuple(_gen_exponent(w, LEVEL_HALF) for w in dw)
         parts.append(
             ComplexBlock(block=b, down_weights=tuple(dw), c0_exponents=c0, c1_exponents=c1)
         )
@@ -242,14 +238,14 @@ def transform_block_inf_0(block):
     )
 
 
-def local_nahm_0_inf(germ, certificate=None):
+def local_nahm_0_inf(germ):
     """Forward local transform of an admissible germ at a finite point.
 
     Output is a canonical germ at infinity whose slopes are strictly
     smaller than 1; rank and filtered data are computed blockwise.
     """
     if not germ.is_canonical():
-        complex_ = build_local_complex(germ, certificate)
+        complex_ = build_local_complex(germ)
         germ = complex_.germ
     if germ.coord != "finite":
         raise InputError("forward transform expects a germ at a finite point")
@@ -275,6 +271,4 @@ def local_nahm_inf_0(germ):
 
 def transform_rank(germ):
     """Rank of the local transform by degree bookkeeping."""
-    if not germ.is_canonical():
-        germ = build_local_complex(germ).germ
     return build_local_complex(germ).index

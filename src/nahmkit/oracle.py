@@ -162,7 +162,7 @@ def oracle_rank(germ, w, N=DEFAULT_PRECISION):
     return coker
 
 
-def degree_crosscheck(data, w, N=DEFAULT_PRECISION):
+def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):
     """Re-derive the bookkeeping exponents of every part of every point.
 
     Each part is realized, and its C0 and C1 generator exponents are
@@ -176,8 +176,10 @@ def degree_crosscheck(data, w, N=DEFAULT_PRECISION):
     that colength must be the part's index.  Returns False on any
     difference.
 
-    The lattices depend neither on the twist w nor on the precision N: the
-    generator matrices are exact.
+    The lattices depend neither on the twist nor on the precision: the
+    generator matrices are exact, so `_w` and `_N` are not read.  They are
+    kept because callers pass the twist and the precision by position, as
+    they do to truncated_cokernel.
     """
     ctx = data.ctx
     zero = TruncatedLaurent.zero(ctx)

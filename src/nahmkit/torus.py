@@ -165,37 +165,23 @@ def scalar_to_point(ctx, s, lattice="T_dual", gens=DUAL_GENS, is_lift=True):
     q = {gens[0]: Fraction(0), gens[1]: Fraction(0)}
     sym = {}
     rest = s
-    for name in ctx.symbols:
-        mono = tuple(1 if nm == name else 0 for nm in ctx.symbols)
-        c = _rational_coeff_of(ctx, s, mono)
-        if c is None or c == 0:
-            continue
-        if name in gens:
-            q[name] = c
-        else:
-            sym[name] = c
-        rest = rest - ctx.rational(c) * ctx.sym(name)
+    # a constant canonical denominator is the shared ctx.unit; otherwise no
+    # coefficient is rational and everything is the constant channel
+    if s.den == ctx.unit:
+        for i, name in enumerate(ctx.symbols):
+            c = s.num.get(tuple(int(j == i) for j in range(ctx.nvars)))
+            # c = (c_0, ..., c_{deg-1}, d) in the power basis: rational when
+            # every zeta coordinate is 0
+            if c is None or any(c[1:-1]):
+                continue
+            c = Fraction(c[0], c[-1])
+            if name in gens:
+                q[name] = c
+            else:
+                sym[name] = c
+            rest = rest - ctx.rational(c) * ctx.sym(name)
     const = None if rest.is_zero() else rest
     return TorusPoint(lattice, q[gens[0]], q[gens[1]], sym, const, is_lift=is_lift)
-
-
-def _rational_coeff_of(ctx, s, mono):
-    """Rational coefficient of a monomial in a scalar with rational
-    denominator; None when the scalar is not of that shape."""
-    den = s.den
-    zm = ctx._zero_mono
-    if set(den) != {zm}:
-        return None
-    dc = ctx.cyc.coords(den[zm])
-    if any(dc[1:]):
-        return None
-    c = s.num.get(mono)
-    if c is None:
-        return Fraction(0)
-    c = ctx.cyc.coords(c)
-    if any(c[1:]):
-        return None
-    return c[0] / dc[0]
 
 
 def lattice_vector(ctx, n1, n2, gens=DUAL_GENS):

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from nahmkit import linalg
+from nahmkit import higgs, linalg
 from nahmkit.errors import FieldExtensionRequired, InputError, NotAdmissible
 from nahmkit.field import FieldContext
 from nahmkit.filtered import FilteredLattice
@@ -14,7 +14,6 @@ from nahmkit.higgs import (
     ElementaryBlock,
     HiggsGerm,
     admissibility_check,
-    candidate_types,
     endo_germ_wrap,
     germ_newton_slopes,
     _scalar_nth_root,
@@ -215,29 +214,26 @@ def test_strict_subobject_stays_admissible(ctx):
 def test_endo_germ_wrap(ctx):
     a = ctx.sym("a")
     one = TL.from_scalar(ctx.one)
-    # g = alpha id, alpha != 0: candidate type (1,1)
+    # g = alpha id, alpha != 0: slope 1, type (1, 1)
     g = endo_germ_wrap(
         FilteredLattice(ctx, [F(0)]), LaurentMatrix(ctx, [[TL.from_scalar(a)]])
     )
     assert g.coord == "infinity"
-    types = candidate_types(g)
-    assert [(p, m) for p, m, _, _ in types] == [(1, 1)]
+    assert germ_newton_slopes(g) == [(F(1), 1)]
     # eigenvalue ~ tau^(1/2): slope (2,1)
     g2 = endo_germ_wrap(
         FilteredLattice(ctx, [F(0), F(-1, 2)]),
         LaurentMatrix(ctx, [[TL.zero(ctx), TL.monomial(ctx, a, 1)], [one, TL.zero(ctx)]]),
     )
-    assert [(p, m) for p, m, _, _ in candidate_types(g2)] == [(2, 1)]
-    # nilpotent constant: candidate type (1, 0, 0)
+    assert germ_newton_slopes(g2) == [(F(1, 2), 2)]
+    # nilpotent constant: slope 0, type (1, 0, 0)
     g3 = endo_germ_wrap(
         FilteredLattice(ctx, [F(0), F(0)]),
         LaurentMatrix(ctx, [[TL.zero(ctx), one], [TL.zero(ctx), TL.zero(ctx)]]),
     )
-    types3 = candidate_types(g3)
-    assert [(p, m) for p, m, _, _ in types3] == [(1, 0)]
-    # irregular wrap must have p >= m (boundedness of g)
-    for p, m, _, _ in candidate_types(g2):
-        assert p >= m
+    assert germ_newton_slopes(g3) == [(F(0), 2)]
+    # irregular wrap must have slopes m/p <= 1 (boundedness of g)
+    assert all(mu <= 1 for mu, _ in germ_newton_slopes(g2))
     with pytest.raises(InputError):
         endo_germ_wrap(
             FilteredLattice(ctx, [F(0)]), LaurentMatrix(ctx, [[mono(ctx, a, -1)]])
@@ -254,6 +250,64 @@ def test_goodness_splits_same_slope_orbits(ctx):
     assert res.good and len(res.groups) == 2
     rads = sorted(str(grp["blocks"][0].radicand) for grp in res.groups)
     assert rads == ["a^2", "b^2"]
+
+
+@pytest.mark.parametrize("leads, slope_checks, charpolys", [
+    # two slope parts: the germ, each part and each model
+    ([(1, 1, "a"), (2, 1, "b")], 2, 1 + 2 + 2),
+    # one slope part of two orbits: the germ, each orbit part and each model
+    ([(2, 1, "a"), (2, 1, "b")], 1, 1 + 2 + 2),
+])
+def test_goodness_certifies_and_charpolys_each_part_once(ctx, monkeypatch, leads,
+                                                         slope_checks, charpolys):
+    """goodness_decomposition runs one slope_check per slope part and one
+    charpoly per germ or part, plus one per recognized irregular model."""
+    blocks = [ElementaryBlock.make(ctx, p, m, lead=ctx.sym(x), weights=(F(-j, 3),))
+              for j, (p, m, x) in enumerate(leads)]
+    g = realize(HiggsGerm.from_blocks(ctx, blocks))
+    calls = {"slope_check": 0, "charpoly": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(higgs, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(higgs, name, counted)
+    res = goodness_decomposition(g)
+    monkeypatch.undo()
+    want = sorted(b.table_key() for b in blocks)
+    assert res.good and sorted(b.table_key() for b in res.all_blocks()) == want
+    assert calls == {"slope_check": slope_checks, "charpoly": charpolys}
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p, m in SHAPES if m or p == 1])
+def test_canonical_decompositions_match_the_realized_route(ctx, p, m):
+    """The canonical branches of slope_decomposition and type_decomposition
+    give the labels, ranks and weights of the realized germ's, on every
+    block shape with p + m <= 6 and weights 0, -1/2 and -1/3."""
+    a = ctx.sym("a")
+    for w in (F(0), F(-1, 2), F(-1, 3)):
+        if m:
+            b = ElementaryBlock.make(ctx, p, m, lead=a, weights=(w,))
+        else:
+            b = ElementaryBlock.make(ctx, 1, 0, alpha=a, weights=(w,))
+        g = HiggsGerm.from_blocks(ctx, [b])
+        for decompose in (slope_decomposition, type_decomposition):
+            canonical, realized = (
+                [(part.rank, part.weights(), label) for part, label in decompose(germ)]
+                for germ in (g, realize(g))
+            )
+            assert canonical == realized, (decompose.__name__, w)
+
+
+@pytest.mark.xfail(raises=FieldExtensionRequired, strict=True, reason=(
+    "the orbit split gives scalar_poly_roots no candidate roots, and the "
+    "cubic leading form in three symbols splits off none of its guesses"))
+def test_goodness_of_three_tame_residues():
+    ctx3 = FieldContext(M=12, symbols=("a", "b", "c"))
+    blocks = [ElementaryBlock.make(ctx3, 1, 0, alpha=ctx3.sym(x), weights=(w,))
+              for x, w in zip("abc", (F(0), F(-1, 2), F(-1, 3)))]
+    res = goodness_decomposition(realize(HiggsGerm.from_blocks(ctx3, blocks)))
+    want = sorted(b.table_key() for b in blocks)
+    assert res.good and sorted(b.table_key() for b in res.all_blocks()) == want
 
 
 def test_precision_refusal_on_truncated_germ(ctx):

@@ -12,6 +12,10 @@ re-exports, and `__future__` features) is used as a name in that module.
 Every name a function of nahmkit binds is read somewhere in that function,
 its nested functions and comprehensions included.  Names starting with `_`
 are exempt, so a value that must be unpacked but is not needed is `_`.
+
+Every parameter of a function of nahmkit is read in that function, under
+the same exemption; `self` and `cls` are exempt too.  A parameter that must
+stay for its callers but is not read is named with a leading `_`.
 """
 
 import ast
@@ -131,3 +135,33 @@ def test_every_local_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         dead |= _dead_locals(path)
     assert not dead, f"local names bound and never read: {sorted(dead)}"
+
+
+def _unread_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, scopes):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        unread |= {
+            f"{path.name}:{fn.lineno}:{name}:{p.arg}"
+            for p in params
+            if p.arg not in ("self", "cls") and not p.arg.startswith("_")
+            and p.arg not in read
+        }
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        unread |= _unread_parameters(path)
+    assert not unread, f"parameters the function never reads: {sorted(unread)}"

@@ -55,6 +55,66 @@ def test_point_scalar_roundtrip(ctx):
     assert back == pt and (back.q1, back.q2) == (pt.q1, pt.q2)
 
 
+def _scalar_to_point_by_symbol(ctx, s, gens):
+    """The earlier route of scalar_to_point, kept as its reference: per
+    symbol, read the monomial's coefficient through the power-basis
+    coordinates of the numerator and the denominator, and subtract it."""
+    q = {gens[0]: F(0), gens[1]: F(0)}
+    sym = {}
+    rest = s
+    zm = (0,) * ctx.nvars
+    for name in ctx.symbols:
+        mono = tuple(1 if nm == name else 0 for nm in ctx.symbols)
+        if set(s.den) != {zm} or any(ctx.cyc.coords(s.den[zm])[1:]):
+            continue
+        dc = ctx.cyc.coords(s.den[zm])[0]
+        c = s.num.get(mono)
+        if c is None:
+            continue
+        c = ctx.cyc.coords(c)
+        if any(c[1:]) or c[0] == 0:
+            continue
+        c = c[0] / dc
+        if name in gens:
+            q[name] = c
+        else:
+            sym[name] = c
+        rest = rest - ctx.rational(c) * ctx.sym(name)
+    const = None if rest.is_zero() else rest
+    return TorusPoint("T_dual", q[gens[0]], q[gens[1]], sym, const, is_lift=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_to_point_matches_the_per_symbol_route(ctx, seed):
+    """scalar_to_point against the per-symbol route on seeded scalars: terms
+    of degree 0 to 2 with rational and zeta coefficients, some divided by a
+    rational or by a nonconstant polynomial, read with the default
+    generators and with generators that leave nu2 a position symbol."""
+    rng = random.Random(seed)
+    names = ctx.symbols
+    coeffs = [ctx.rational(F(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(4)]
+    coeffs += [ctx.zeta(12, 1), ctx.rational(2) + ctx.zeta(4, 1), ctx.zeta(3, 1)]
+    cases = [ctx.zero, ctx.one]
+    for _ in range(40):
+        s = ctx.zero
+        for _ in range(rng.randint(1, 5)):
+            term = rng.choice(coeffs)
+            for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                term = term * ctx.sym(rng.choice(names))
+            s = s + term
+        kind = rng.randrange(4)
+        if kind == 1:
+            s = s / ctx.rational(rng.choice((2, 3, -5)))
+        elif kind == 2:
+            s = s / (ctx.sym(rng.choice(names)) + ctx.rational(rng.randint(1, 3)))
+        cases.append(s)
+    for gens in (("nu1", "nu2"), ("x1", "nu1")):
+        for s in cases:
+            got = scalar_to_point(ctx, s, gens=gens)
+            want = _scalar_to_point_by_symbol(ctx, s, gens)
+            assert got.lift_key() == want.lift_key(), (str(s), gens)
+
+
 def test_g_equiv_nilpotent(ctx):
     vf = EndoPair(ctx, [[ctx.zero, ctx.one], [ctx.zero, ctx.zero]])
     spectrum, blocks = g_equiv(vf)
