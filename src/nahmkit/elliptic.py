@@ -12,7 +12,8 @@ Vanishing conditions reduce to finite scans: only the tame-nilpotent
 (exceptional) blocks can support flat sections or constant spectral
 branches, so the failing twist classes are read off from their kernel
 lines' degrees and classes; the second-cohomology side is the same scan on
-the dual datum with classes negated.
+the dual datum with classes negated.  A block's dual is exceptional exactly
+when the block is, so that scan dualizes the exceptional blocks only.
 """
 
 from __future__ import annotations
@@ -322,43 +323,51 @@ def _kernel_lines(block):
     return out
 
 
-def _h0_scan_higgs(data):
+def _h0_scan_higgs(ctx, blocks):
     """Failing (w, L) classes of the flat-section scan on the dual-torus
-    side; only exceptional blocks can support flat sections, at w = 0."""
+    side, over (point, block) pairs; only exceptional blocks can support
+    flat sections, at w = 0."""
     failing = []
-    for sp in data.points:
-        for b in sp.blocks():
-            if not b.is_exceptional():
-                continue
-            for t in _kernel_lines(b):
-                d = b.degrees[t]
-                tw = b.twists[t] if b.twists else None
-                if d > 0:
-                    failing.append((data.ctx.zero, None, "H0"))  # all classes
-                elif d == 0:
-                    cls = (-tw) if tw is not None else TorusPoint("T")
-                    failing.append((data.ctx.zero, cls, "H0"))
+    for _, b in blocks:
+        if not b.is_exceptional():
+            continue
+        for t in _kernel_lines(b):
+            d = b.degrees[t]
+            tw = b.twists[t] if b.twists else None
+            if d > 0:
+                failing.append((ctx.zero, None, "H0"))  # all classes
+            elif d == 0:
+                cls = (-tw) if tw is not None else TorusPoint("T")
+                failing.append((ctx.zero, cls, "H0"))
     return failing
 
 
-def _h0_scan_bundle(data):
+def _h0_scan_bundle(blocks):
     """Failing twist classes of the section scan at constant spectral
-    branches (product side); classes live on the dual torus."""
+    branches (product side), over (point, block) pairs; classes live on
+    the dual torus."""
     failing = []
-    for sp in data.points:
-        for b in sp.blocks():
-            if not b.is_exceptional():
-                continue
-            for t in _kernel_lines(b):
-                d = b.degrees[t]
-                tw = b.twists[t] if (b.twists and b.twists[t] is not None
-                                     and b.twists[t].lattice == "T_dual") else None
-                if d > 0:
-                    failing.append((None, None, "H0"))
-                elif d == 0:
-                    cls = -(sp.point + tw) if tw is not None else -sp.point
-                    failing.append((None, cls.reduce(), "H0"))
+    for pt, b in blocks:
+        if not b.is_exceptional():
+            continue
+        for t in _kernel_lines(b):
+            d = b.degrees[t]
+            tw = b.twists[t] if (b.twists and b.twists[t] is not None
+                                 and b.twists[t].lattice == "T_dual") else None
+            if d > 0:
+                failing.append((None, None, "H0"))
+            elif d == 0:
+                cls = -(pt + tw) if tw is not None else -pt
+                failing.append((None, cls.reduce(), "H0"))
     return failing
+
+
+def _exceptional_duals(blocks):
+    """The (point, block) pairs of the dual datum that the scans can fail
+    on: a block's dual is exceptional exactly when the block is
+    (`dual_block` keeps (p, m) and negates alpha), so only the exceptional
+    blocks are dualized, in the order of `dual_data`."""
+    return [(-pt, dual_block(b)) for pt, b in blocks if b.is_exceptional()]
 
 
 def _negate_classes(failing):
@@ -373,24 +382,27 @@ def a0_check(data):
 
     Exact finite verdict for canonical data: the first-cohomology scan on
     the datum plus the same scan on the dual (the second cohomology, by
-    duality), with classes negated.
+    duality), with classes negated.  Both scans read only the exceptional
+    blocks; the dual side dualizes those blocks and no others.
     """
     if not isinstance(data, AdmissibleHiggsData):
         raise InputError("a0_check expects Higgs data on the dual torus")
-    data = data.canonical()
-    failing = _h0_scan_higgs(data)
-    failing += _negate_classes(_h0_scan_higgs(dual_data(data)))
+    blocks = data.canonical().all_blocks()
+    failing = _h0_scan_higgs(data.ctx, blocks)
+    failing += _negate_classes(_h0_scan_higgs(data.ctx, _exceptional_duals(blocks)))
     failing = _dedupe(failing)
     return ConditionReport(name="A0", ok=not failing, failing=failing)
 
 
 def a3_check(data):
-    """Section/second-cohomology vanishing per degree-0 twist class."""
+    """Section/second-cohomology vanishing per degree-0 twist class: the
+    section scan on the datum and on the duals of its exceptional blocks,
+    with classes negated, as in `a0_check`."""
     if not isinstance(data, FilteredBundleData):
         raise InputError("a3_check expects filtered-bundle data")
-    data = data.canonical()
-    failing = _h0_scan_bundle(data)
-    failing += _negate_classes(_h0_scan_bundle(dual_data(data)))
+    blocks = data.canonical().all_blocks()
+    failing = _h0_scan_bundle(blocks)
+    failing += _negate_classes(_h0_scan_bundle(_exceptional_duals(blocks)))
     failing = _dedupe(failing)
     return ConditionReport(name="A3", ok=not failing, failing=failing)
 
@@ -421,14 +433,9 @@ def a1a2_check(data):
     ok = True
     for sp in data.points:
         germ = sp.germ
-        try:
-            if not admissibility_check(germ):
-                ok = False
-                notes.append(f"germ at {sp.point!r} is not admissible")
-                continue
-        except NotAdmissible as exc:
+        if not admissibility_check(germ):
             ok = False
-            notes.append(f"germ at {sp.point!r}: {exc}")
+            notes.append(f"germ at {sp.point!r} is not admissible")
             continue
         for b in sp.blocks() if germ.is_canonical() else []:
             if b.m and b.p == b.m:
@@ -440,10 +447,14 @@ def a1a2_check(data):
 
 
 def good_check(data):
-    """Goodness of every germ of the datum."""
+    """Goodness of every germ of the datum.  Canonical germs are good by
+    construction, so only matrix germs are decomposed; a matrix germ that
+    resists the decomposition fails with a note naming its point."""
     notes = []
     ok = True
     for sp in data.points:
+        if sp.germ.is_canonical():
+            continue
         res = goodness_decomposition(sp.germ)
         if not res.good:
             ok = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd, lcm
 
 from .errors import InputError
 from .field import FieldContext, reduced
@@ -44,7 +45,8 @@ def rat_to_json(q):
     return {"num": q.numerator, "den": q.denominator}
 
 
-def rat_from_json(obj):
+def _rat_parts(obj):
+    """(num, den) of a JSON rational, checked but not reduced."""
     if (
         not isinstance(obj, dict)
         or set(obj) != {"num", "den"}
@@ -53,16 +55,26 @@ def rat_from_json(obj):
         or obj["den"] == 0
     ):
         raise InputError(f"not a rational: {obj!r}")
-    return Fraction(obj["num"], obj["den"])
+    return obj["num"], obj["den"]
+
+
+def rat_from_json(obj):
+    return Fraction(*_rat_parts(obj))
 
 
 # -- scalars --
 
 
-def _poly_to_json(ctx, p):
+def _poly_to_json(p):
+    # each power-basis coordinate c/d in lowest terms (d > 0)
     terms = []
     for mono, cyc in sorted(p.items()):
-        terms.append({"m": list(mono), "c": [rat_to_json(x) for x in ctx.cyc.coords(cyc)]})
+        d = cyc[-1]
+        coords = []
+        for c in cyc[:-1]:
+            g = gcd(c, d)
+            coords.append({"num": c // g, "den": d // g})
+        terms.append({"m": list(mono), "c": coords})
     return terms
 
 
@@ -72,15 +84,20 @@ def _poly_from_json(ctx, terms):
         mono = tuple(_int(e, "monomial exponent") for e in t["m"])
         if len(mono) != ctx.nvars:
             raise InputError("monomial arity does not match the declared symbols")
-        coords = [rat_from_json(x) for x in t["c"]]
+        coords = [_rat_parts(x) for x in t["c"]]
         if len(coords) != ctx.cyc.degree:
             raise InputError("cyclotomic coordinate length mismatch")
-        out[mono] = ctx.cyc.from_coords(coords)
+        # over d, the lcm of the coordinates' reduced denominators, the
+        # integer coordinates and d have gcd 1: the canonical element
+        d = 1
+        for n, e in coords:
+            d = lcm(d, e // gcd(n, e))
+        out[mono] = tuple(n * d // e for n, e in coords) + (d,)
     return out
 
 
 def scalar_to_json(s):
-    return {"num": _poly_to_json(s.ctx, s.num), "den": _poly_to_json(s.ctx, s.den)}
+    return {"num": _poly_to_json(s.num), "den": _poly_to_json(s.den)}
 
 
 def scalar_from_json(ctx, obj):

@@ -156,9 +156,7 @@ def nahm_forward(data, skip_checks=False):
         raise InputError("forward transform expects admissible Higgs data")
     data = data.canonical()
     report = NahmReport(direction="forward")
-    report.input_rank = data.rank
-    report.input_degree = global_parabolic_degree(data)
-    report.input_table = data.table()
+    _read_input_side(report, data)
     cond = a0_check(data)
     report.conditions["A0"] = cond
     if not cond.ok and not skip_checks:
@@ -175,18 +173,29 @@ def nahm_forward(data, skip_checks=False):
         raise VerdictFailure(
             "blockwise ranks disagree with the index bookkeeping", report
         )
+    _finish(report, out, good_check(data))
+    return out, report
+
+
+def _read_input_side(report, data):
+    report.input_rank = data.rank
+    report.input_degree = global_parabolic_degree(data)
+    report.input_table = data.table()
+
+
+def _finish(report, out, g_in):
+    """Fill in the output side and the goodness of a transform's report;
+    g_in is the goodness verdict of its input."""
     report.output_rank = out.rank
     report.output_degree = global_parabolic_degree(out)
     report.output_table = out.table()
     report.degree_preserved = report.output_degree == report.input_degree
     if not report.degree_preserved:
         raise VerdictFailure("parabolic degree not preserved (internal error)", report)
-    g_in = good_check(data)
     g_out = good_check(out)
     report.conditions["Good(in)"] = g_in
     report.conditions["Good(out)"] = g_out
     report.goodness_preserved = (not g_in.ok) or g_out.ok
-    return out, report
 
 
 # ----------------------------------------------------------------------
@@ -203,11 +212,23 @@ def nahm_backward(data, skip_checks=False):
     translation action recorded on the block data."""
     if not isinstance(data, FilteredBundleData):
         raise InputError("backward transform expects filtered-bundle data")
-    data = data.canonical()
+    return _backward(data.canonical(), skip_checks)
+
+
+def _backward(data, skip_checks=False, forward_report=None):
+    """The backward transform of canonical bundle data.  Given the report
+    of the forward transform that produced `data`, its output side and
+    output goodness are taken as this report's input side and input
+    goodness rather than derived again."""
     report = NahmReport(direction="backward")
-    report.input_rank = data.rank
-    report.input_degree = global_parabolic_degree(data)
-    report.input_table = data.table()
+    if forward_report is None:
+        _read_input_side(report, data)
+        g_in = good_check(data)
+    else:
+        report.input_rank = forward_report.output_rank
+        report.input_degree = forward_report.output_degree
+        report.input_table = forward_report.output_table
+        g_in = forward_report.conditions["Good(out)"]
     c12 = a1a2_check(data)
     c3 = a3_check(data)
     report.conditions["A1A2"] = c12
@@ -239,17 +260,7 @@ def nahm_backward(data, skip_checks=False):
             )
         )
     out = AdmissibleHiggsData(data.ctx, out_points)
-    report.output_rank = out.rank
-    report.output_degree = global_parabolic_degree(out)
-    report.output_table = out.table()
-    report.degree_preserved = report.output_degree == report.input_degree
-    if not report.degree_preserved:
-        raise VerdictFailure("parabolic degree not preserved (internal error)", report)
-    g_in = good_check(data)
-    g_out = good_check(out)
-    report.conditions["Good(in)"] = g_in
-    report.conditions["Good(out)"] = g_out
-    report.goodness_preserved = (not g_in.ok) or g_out.ok
+    _finish(report, out, g_in)
     return out, report
 
 
@@ -260,16 +271,18 @@ def nahm_backward(data, skip_checks=False):
 
 def roundtrip_report(data):
     """Forward then backward; pass iff the full block tables, divisor,
-    rank, and parabolic degree are restored exactly."""
+    rank, and parabolic degree are restored exactly.  Ranks, degrees,
+    tables and goodness are read off the two transforms' reports."""
+    data = data.canonical()
     fwd, rep_f = nahm_forward(data)
-    back, rep_b = nahm_backward(fwd)
+    back, rep_b = _backward(fwd, forward_report=rep_f)
     report = NahmReport(direction="roundtrip")
-    report.input_rank = data.rank
-    report.input_degree = global_parabolic_degree(data)
-    report.input_table = data.table()
-    report.output_rank = back.rank
-    report.output_degree = global_parabolic_degree(back)
-    report.output_table = back.table()
+    report.input_rank = rep_f.input_rank
+    report.input_degree = rep_f.input_degree
+    report.input_table = rep_f.input_table
+    report.output_rank = rep_b.output_rank
+    report.output_degree = rep_b.output_degree
+    report.output_table = rep_b.output_table
     report.conditions.update(rep_f.conditions)
     report.degree_preserved = (
         rep_f.degree_preserved
@@ -278,13 +291,12 @@ def roundtrip_report(data):
     )
     same = (
         data.table_keys() == back.table_keys()
-        and data.rank == back.rank
+        and report.input_rank == report.output_rank
         and report.degree_preserved
     )
     report.roundtrip = "pass" if same else "fail"
-    g_in = good_check(data)
-    g_back = good_check(back)
-    report.goodness_preserved = (not g_in.ok) or g_back.ok
+    g_in = rep_f.conditions["Good(in)"]
+    report.goodness_preserved = (not g_in.ok) or rep_b.conditions["Good(out)"].ok
     return report
 
 
@@ -292,9 +304,7 @@ def invariants(data):
     """Rank, parabolic degree, and per-point singularity tables."""
     data = data.canonical()
     report = NahmReport(direction="invariants")
-    report.input_rank = data.rank
-    report.input_degree = global_parabolic_degree(data)
-    report.input_table = data.table()
+    _read_input_side(report, data)
     report.output_rank = report.input_rank
     report.output_degree = report.input_degree
     report.output_table = report.input_table

@@ -1,12 +1,14 @@
 """Global data: degree, stability, vanishing-condition detectors."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from nahmkit import elliptic
 from nahmkit.errors import InputError
 from nahmkit.field import FieldContext
-from nahmkit.higgs import ElementaryBlock, HiggsGerm
+from nahmkit.higgs import ElementaryBlock, HiggsGerm, realize
 from nahmkit.torus import TorusPoint
 from nahmkit.elliptic import (
     AdmissibleHiggsData,
@@ -225,3 +227,101 @@ def test_good_check(ctx):
                       tame(ctx)])],
     )
     assert good_check(d).ok
+
+
+def test_good_check_fails_on_a_germ_that_resists(ctx):
+    # the sub-leading-tail germ of test_higgs: admissible, but its matrix
+    # form resists recognition, so the datum is not certified good
+    a, b = ctx.sym("a"), ctx.sym("b")
+    tailed = ElementaryBlock.make(ctx, 1, 2, lead=a, tail=(b,), weights=(F(0),))
+    pt = TorusPoint("T_dual", F(1, 3), 0, is_lift=True)
+    d = AdmissibleHiggsData(
+        ctx, [SingularPoint(pt, realize(HiggsGerm.from_blocks(ctx, [tailed])))]
+    )
+    rep = good_check(d)
+    assert not rep.ok and len(rep.notes) == 1
+    assert rep.notes[0].startswith(f"at {pt!r}: ") and "resists" in rep.notes[0]
+
+
+def _random_block(ctx, rng):
+    """An exceptional block (one to three lines, weights 0 or not, degrees
+    -1, 0 or 1, maybe a nilpotent part and twists) or a tame or irregular
+    non-exceptional one."""
+    kind = rng.choice(("exceptional", "exceptional", "tame", "irregular"))
+    if kind == "irregular":
+        return ElementaryBlock.make(
+            ctx, 2, 1, lead=ctx.sym("a"), weights=(rng.choice((F(0), F(-1, 2))),),
+            degrees=(rng.randint(-1, 1),),
+        )
+    k = 1 if kind == "tame" else rng.randint(1, 3)
+    weights = tuple(rng.choice((F(0), F(0), F(-1, 2), F(-1, 3))) for _ in range(k))
+    degrees = tuple(rng.randint(-1, 1) for _ in range(k))
+    nilp = ()
+    if k > 1 and rng.random() < 0.6:
+        # Jordan-aligned: the nonzero columns are independent
+        rows = [[ctx.zero] * k for _ in range(k)]
+        for i in range(k - 1):
+            rows[i][i + 1] = ctx.rational(rng.choice((1, 2, -1)))
+        if k == 3 and rng.random() < 0.5:
+            rows[0][2] = ctx.sym("b")
+        nilp = tuple(tuple(r) for r in rows)
+    twists = ()
+    if rng.random() < 0.5:
+        twists = tuple(
+            None if rng.random() < 0.3 else
+            TorusPoint("T_dual", F(rng.randint(0, 3), 4), F(rng.randint(0, 2), 3))
+            for _ in range(k)
+        )
+    alpha = ctx.zero if kind == "exceptional" else ctx.sym("b")
+    return ElementaryBlock.make(ctx, 1, 0, alpha=alpha, weights=weights,
+                                degrees=degrees, nilp=nilp, twists=twists)
+
+
+def _random_datum(ctx, rng, cls, coord):
+    points = []
+    for j in range(rng.randint(1, 3)):
+        pt = TorusPoint("T_dual", F(j, 5), F(rng.randint(0, 3), 7), is_lift=True)
+        blocks = [_random_block(ctx, rng) for _ in range(rng.randint(1, 3))]
+        points.append(SingularPoint(pt, HiggsGerm.from_blocks(ctx, blocks, coord)))
+    return cls(ctx, points)
+
+
+def _full_dual_route(data):
+    """The scans as they read before they were restricted to exceptional
+    blocks: the datum, then the whole dual datum built by dual_data."""
+    if isinstance(data, AdmissibleHiggsData):
+        def scan(d):
+            return elliptic._h0_scan_higgs(d.ctx, d.all_blocks())
+    else:
+        def scan(d):
+            return elliptic._h0_scan_bundle(d.all_blocks())
+    failing = scan(data) + elliptic._negate_classes(scan(dual_data(data)))
+    return elliptic._dedupe(failing)
+
+
+def _failing_key(failing):
+    return [
+        (None if w is None else w.sort_key(),
+         None if c is None else (repr(c), c.class_key()), side)
+        for w, c, side in failing
+    ]
+
+
+@pytest.mark.parametrize("cls, coord, check", [
+    (AdmissibleHiggsData, "finite", a0_check),
+    (FilteredBundleData, "infinity", a3_check),
+])
+def test_exceptional_scans_match_the_full_dual_route(ctx, cls, coord, check):
+    """a0_check and a3_check dualize only the exceptional blocks; their
+    failing lists equal, in order, those of the scans over the whole dual
+    datum, on seeded data mixing every kind of block."""
+    sides = set()
+    for seed in range(40):
+        data = _random_datum(ctx, random.Random(seed), cls, coord)
+        rep = check(data)
+        want = _full_dual_route(data)
+        assert _failing_key(rep.failing) == _failing_key(want), seed
+        assert rep.ok == (not want)
+        sides |= {side for _, _, side in want}
+    # both halves of the scan report failures on this data
+    assert sides == {"H0", "H2"}

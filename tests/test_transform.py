@@ -4,14 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from nahmkit import elliptic, transform
 from nahmkit.errors import VerdictFailure
 from nahmkit.field import FieldContext
-from nahmkit.higgs import ElementaryBlock, HiggsGerm
+from nahmkit.higgs import ElementaryBlock, HiggsGerm, realize
 from nahmkit.torus import TorusPoint
 from nahmkit.elliptic import (
     AdmissibleHiggsData,
     FilteredBundleData,
     SingularPoint,
+    a0_check,
+    a3_check,
     global_parabolic_degree,
 )
 from nahmkit.transform import (
@@ -151,6 +154,87 @@ def test_roundtrip_report(ctx):
     assert rep.roundtrip == "pass"
     assert rep.degree_preserved and rep.goodness_preserved
     assert rep.input_degree == rep.output_degree
+
+
+def test_roundtrip_of_a_matrix_germ(ctx):
+    # the same datum as a canonical germ and as its realized matrix germ
+    b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(F(-1, 2),))
+    pt = TorusPoint("T_dual", 0, 0, sym={"s1": 1}, is_lift=True)
+    canonical = AdmissibleHiggsData(ctx, [SingularPoint(pt, HiggsGerm.from_blocks(ctx, [b]))])
+    matrix = AdmissibleHiggsData(
+        ctx, [SingularPoint(pt, realize(HiggsGerm.from_blocks(ctx, [b])))]
+    )
+    rep = roundtrip_report(matrix)
+    assert rep.roundtrip == "pass"
+    assert rep.to_dict() == roundtrip_report(canonical).to_dict()
+
+
+def _two_point_datum(ctx):
+    b1 = ElementaryBlock.make(ctx, 3, 2, lead=ctx.sym("a"), weights=(F(-1, 4),))
+    b2 = ElementaryBlock.make(ctx, 1, 0, alpha=ctx.sym("b"), weights=(F(-5, 6),), degrees=(2,))
+    b3 = ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("b"), weights=(F(0),), degrees=(-1,))
+    return AdmissibleHiggsData(
+        ctx,
+        [hpoint(ctx, [b1, b2], sym={"s1": 1}), hpoint(ctx, [b3], q=(F(1, 2), 0))],
+    )
+
+
+def _count_calls(monkeypatch):
+    """Record the datum of every table() and global_parabolic_degree call,
+    and the block or germ of every dual_block and goodness_decomposition
+    call."""
+    seen = {"table": [], "degree": [], "dual_block": [], "goodness": []}
+
+    def wrap(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(arg, *rest):
+            seen[key].append(arg)
+            return fn(arg, *rest)
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(elliptic._DataBase, "table", "table")
+    wrap(transform, "global_parabolic_degree", "degree")
+    wrap(elliptic, "dual_block", "dual_block")
+    wrap(elliptic, "goodness_decomposition", "goodness")
+    return seen
+
+
+def test_roundtrip_derives_each_invariant_once(ctx, monkeypatch):
+    """One roundtrip reads the table and the degree of each of its three
+    data (input, forward output, backward output) once, dualizes no block
+    that is not exceptional and decomposes no canonical germ."""
+    data = _two_point_datum(ctx)
+    seen = _count_calls(monkeypatch)
+    rep = roundtrip_report(data)
+    monkeypatch.undo()
+    assert rep.roundtrip == "pass"
+    for key in ("table", "degree"):
+        assert len(seen[key]) == 3, key
+        assert len({id(d) for d in seen[key]}) == 3, key
+    assert seen["table"][0] is data
+    assert all(b.is_exceptional() for b in seen["dual_block"])
+    assert seen["goodness"] == []
+
+
+def test_scans_dualize_only_exceptional_blocks(ctx, monkeypatch):
+    nil = ElementaryBlock.make(
+        ctx, 1, 0, weights=(F(0), F(-1, 2)), degrees=(-1, 0),
+        nilp=((ctx.zero, ctx.one), (ctx.zero, ctx.zero)),
+    )
+    exc = ElementaryBlock.make(ctx, 1, 0, weights=(F(-1, 3),), degrees=(-1,))
+    others = [
+        ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(F(0),)),
+        ElementaryBlock.make(ctx, 1, 0, alpha=ctx.sym("b"), weights=(F(-1, 2),)),
+    ]
+    for cls, coord, check in ((AdmissibleHiggsData, "finite", a0_check),
+                              (FilteredBundleData, "infinity", a3_check)):
+        data = cls(ctx, [hpoint(ctx, [nil] + others, sym={"s1": 1}, coord=coord),
+                         hpoint(ctx, [others[0], exc], q=(F(1, 3), 0), coord=coord)])
+        seen = _count_calls(monkeypatch)
+        check(data)
+        monkeypatch.undo()
+        assert seen["dual_block"] == [nil, exc]
 
 
 def test_wrapped_matrix_germ_through_backward(ctx):
