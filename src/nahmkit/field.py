@@ -121,11 +121,6 @@ class CyclotomicField:
         acc.append(d)
         return tuple(acc)
 
-    def coords(self, a):
-        """The power-basis coordinates of a, as Fractions."""
-        d = a[-1]
-        return tuple(Fraction(c, d) for c in a[:-1])
-
     def from_coords(self, fracs):
         """The element with the given rational power-basis coordinates."""
         # with d the lcm of reduced denominators, the gcd is already 1
@@ -773,18 +768,8 @@ class Scalar:
     def sort_key(self):
         """Deterministic total-order key (for canonical tables only)."""
 
-        def coords(v):
-            # each coordinate c/d in lowest terms (d > 0), as the pair
-            # (numerator, denominator) of its Fraction
-            d = v[-1]
-            out = []
-            for c in v[:-1]:
-                g = gcd(c, d)
-                out.append((c // g, d // g))
-            return tuple(out)
-
         def enc(p):
-            return tuple((m, coords(v)) for m, v in sorted(p.items()))
+            return tuple((m, _coords(v)) for m, v in sorted(p.items()))
 
         return (enc(self.num), enc(self.den))
 
@@ -835,16 +820,28 @@ def _normalize(ctx, num, den):
     return num, den
 
 
+def _coords(a):
+    """The power-basis coordinates of a cyclotomic element, each c/d in
+    lowest terms (d > 0) as the integer pair (c, d)."""
+    d = a[-1]
+    out = []
+    for c in a[:-1]:
+        g = gcd(c, d)
+        out.append((c // g, d // g))
+    return tuple(out)
+
+
 def _cyc_str(ctx, c):
     terms = []
-    for i, q in enumerate(ctx.cyc.coords(c)):
-        if not q:
+    for i, (n, d) in enumerate(_coords(c)):
+        if not n:
             continue
+        q = str(n) if d == 1 else f"{n}/{d}"
         if i == 0:
-            terms.append(str(q))
+            terms.append(q)
         else:
             z = f"zeta{ctx.N}" + (f"^{i}" if i > 1 else "")
-            terms.append(z if q == 1 else f"{q}*{z}")
+            terms.append(z if q == "1" else f"{q}*{z}")
     return " + ".join(terms) if terms else "0"
 
 

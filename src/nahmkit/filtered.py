@@ -26,9 +26,12 @@ from .errors import InputError
 
 
 def normalize_weight(x, level):
-    """Shift x by the integer putting it into (level-1, level]; (weight, shift)."""
-    x = Fraction(x)
-    level = Fraction(level)
+    """Shift x by the integer putting it into (level-1, level]; (weight, shift).
+    The weight is a Fraction."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if level - 1 < x <= level:
+        return x, 0
     k = ceil(x - level)
     return x - k, k
 

@@ -358,11 +358,20 @@ def realize_block(ctx, block):
     return _sorted_germ(ctx, weights, LaurentMatrix(ctx, A))
 
 
+def realized_lattice(ctx, block):
+    """The lattice of realize_block's germ, without building theta: its
+    weights are the block's downstairs weights, sorted, at level 0."""
+    return FilteredLattice(ctx, block.downstairs_weights(), level=0)
+
+
 def realize(germ):
     """Canonical germ -> matrix germ (identity on matrix germs)."""
     if not germ.is_canonical():
         return germ
     ctx = germ.ctx
+    if len(germ.blocks) == 1:
+        # realize_block's germ is sorted already
+        return HiggsGerm.from_matrix(*realize_block(ctx, germ.blocks[0]), germ.coord)
     weights = []
     thetas = []
     for b in germ.blocks:

@@ -5,10 +5,11 @@ elimination, rref, serves rank and kernel (which hand it their dense rows
 as dicts of nonzero entries) and the oracle's truncated models (whose rows
 are sparse already).  The reduced row echelon form is unique, so every
 caller sees the same answer whatever order the elimination takes.
-rank_mod_p eliminates the residues of the same sparse rows in F_p
-(field.ResidueMap); its rank is at most the rank over the field, so the
-oracle takes a full column rank mod p as a certificate and asks rref only
-when it does not decide.
+rank_mod_p is the one elimination over F_p: it takes sparse rows of
+integers, which the oracle fills with the residues of its coefficients
+(field.ResidueMap).  The rank of the residues is at most the rank over the
+field, so the oracle takes a full column rank mod p as a certificate and
+asks rref only when it does not decide.
 
 charpoly is Berkowitz's division-free algorithm; given the unit of the
 entries' ring it serves Scalar matrices and series matrices (lmatrix) alike.
@@ -78,43 +79,33 @@ def rref(rows):
     return [{c: one, **reduced[c]} for c in pivots], pivots
 
 
-def rank_mod_p(rows, image):
-    """Rank over F_p of the residues of sparse rows, or None.
+def rank_mod_p(rows, p):
+    """Rank over F_p of sparse integer rows.
 
-    rows: list of dicts {column: Scalar}, as rref takes them; image: a
-    field.ResidueMap.  Returns None when some entry has no image.  The rank
-    of the images is at most the rank over the session field, so a rank
-    equal to the number of columns certifies full column rank; a lower one
-    decides nothing.
+    rows: list of dicts {column: nonzero residue mod p}, as field.ResidueMap
+    gives them; they are not modified.  When the rows are the residues of a
+    matrix over the session field, their rank is at most its rank there, so
+    a rank equal to the number of columns certifies full column rank; a
+    lower one decides nothing.
     """
-    p = image.p
-    memo = {}
-    # pivot column -> its row, scaled so that the pivot is 1
+    # pivot column -> its row as given.  A row meeting a pivot becomes
+    # a row - f prow, a the pivot entry and f the row's: no inverse is taken
     pivots = {}
-    for src in rows:
-        row = {}
-        for c, x in src.items():
-            v = memo.get(x)
-            if v is None:
-                v = memo[x] = image(x)
-                if v is None:
-                    return None
-            if v:
-                row[c] = v
+    for row in rows:
         while row:
             pc = min(row)
             prow = pivots.get(pc)
             if prow is None:
-                inv = pow(row[pc], -1, p)
-                pivots[pc] = {c: v * inv % p for c, v in row.items()}
+                pivots[pc] = row
                 break
-            f = row[pc]
+            a, f = prow[pc], row[pc]
+            row = {c: v * a % p for c, v in row.items()}
             for c, v in prow.items():
                 v = (row.get(c, 0) - f * v) % p
                 if v:
                     row[c] = v
                 else:
-                    row.pop(c, None)
+                    del row[c]
     return len(pivots)
 
 

@@ -10,6 +10,16 @@ Three checks, each proving one thing about build_local_complex:
   from the realized lattice by rules of its own, and on an exceptional part
   the index, from the colength of the lattice join by Smith form.
 
+build_truncation_model makes the models of both certificates of a rank.
+coefficient_table lists the nonzero series coefficients of the maps once;
+their residues mod p (field.ResidueMap, each coefficient mapped once) fill
+the models at N and N + 4, whose rank linalg.rank_mod_p takes on integers.
+Only when that rank falls short of full column rank, or a coefficient has
+no residue, is the model of the Scalars made and reduced by linalg.rref.
+Each part is realized once in part_maps; degree_crosscheck reads the
+other parts' weights off higgs.realized_lattice and realizes only an
+exceptional part again, for its theta.
+
 Any disagreement with the weight bookkeeping is a hard failure, never
 smoothed over.
 """
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from math import ceil, floor
 
 from .errors import InputError, PrecisionExhausted
-from .higgs import HiggsGerm, realize
+from .higgs import HiggsGerm, realize, realized_lattice
 from .linalg import rank_mod_p, rref
 from .lmatrix import LaurentMatrix, kernel_basis, smith_normal_form
 from .localnahm import LEVEL_HALF, build_local_complex, c0_level
@@ -34,7 +44,7 @@ class TruncationModel:
     N: int
     domain_dim: int
     codomain_dim: int
-    matrix: list  # sparse rows: list of dict {col: Scalar}
+    matrix: list  # sparse rows: list of dict {col: coefficient}
 
 
 def part_maps(complex_, w):
@@ -66,52 +76,92 @@ def part_maps(complex_, w):
     return maps
 
 
-def build_truncation_model(complex_, maps, N):
-    """Assemble the truncated coordinate matrix of the complex, given the
-    map of each part (part_maps)."""
+def coefficient_table(maps):
+    """The nonzero series coefficients of each part's map (part_maps).
+
+    One list per part of (i, j, terms), one for each entry (i, j) with a
+    nonzero coefficient, terms the (exponent, Scalar) pairs of those
+    coefficients in ascending order of the exponent."""
+    table = []
+    for M in maps:
+        entries = []
+        for i, row in enumerate(M.entries):
+            for j, e in enumerate(row):
+                terms = [(e.val + pos, cf) for pos, cf in enumerate(e.coeffs)
+                         if not cf.is_zero()]
+                if terms:
+                    entries.append((i, j, terms))
+        table.append(entries)
+    return table
+
+
+def _residue_table(residues, table):
+    """The coefficient table with each coefficient replaced by its residue
+    mod p (a field.ResidueMap), zero residues dropped; None when some
+    coefficient has no residue."""
+    out = []
+    for entries in table:
+        images = []
+        for i, j, terms in entries:
+            nonzero = []
+            for k, cf in terms:
+                v = residues(cf)
+                if v is None:
+                    return None
+                if v:
+                    nonzero.append((k, v))
+            if nonzero:
+                images.append((i, j, nonzero))
+        out.append(images)
+    return out
+
+
+def build_truncation_model(complex_, table, N):
+    """Assemble the truncated coordinate matrix of the complex from a
+    coefficient table: the Scalars of coefficient_table, or their residues.
+    The model's entries are the table's, so it is a matrix over the field
+    the table is over."""
     rows = []
     col_off = 0
-    for part, M in zip(complex_.parts, maps):
+    for part, entries in zip(complex_.parts, table):
         n0, n1 = part.c0_exponents, part.c1_exponents
-        r = len(n0)
         # shared upper cutoff: domain (j, t): n0_j <= t < T, codomain
         # (i, s): n1_i <= s < T; the index lives in the size difference
         T = N + max((0, *n0, *n1))
+        # column (j, t) is col_base[j] + t, row (i, s) is row_base[i] + s
         col_base = []
-        for j in range(r):
-            col_base.append(col_off)
-            col_off += T - n0[j]
+        for n in n0:
+            col_base.append(col_off - n)
+            col_off += T - n
         row_base = []
-        for i in range(r):
-            row_base.append(len(rows))
-            rows.extend({} for _ in range(T - n1[i]))
+        for n in n1:
+            row_base.append(len(rows) - n)
+            rows.extend({} for _ in range(T - n))
         # row (i, s) and column (j, t) meet in the coefficient of z^(s-t) of
         # entry (i, j) alone, so each coefficient is stored as it is
-        for j in range(r):
-            for t in range(n0[j], T):
-                col = col_base[j] + (t - n0[j])
-                for i in range(r):
-                    e = M.entries[i][j]
-                    for pos, cf in enumerate(e.coeffs):
-                        s = e.val + pos + t
-                        if s >= T:
-                            break
-                        if s >= n1[i] and not cf.is_zero():
-                            rows[row_base[i] + (s - n1[i])][col] = cf
+        for i, j, terms in entries:
+            rb, cb = row_base[i], col_base[j]
+            for k, v in terms:
+                # n0_j <= t < T and n1_i <= s = k + t < T
+                for t in range(max(n0[j], n1[i] - k), T - max(k, 0)):
+                    rows[rb + k + t][cb + t] = v
     return TruncationModel(
         N=N, domain_dim=col_off, codomain_dim=len(rows), matrix=rows
     )
 
 
-def _sparse_rank(ctx, model):
-    """Exact rank of the truncated matrix.
-
-    A rank mod p equal to the number of columns certifies full column rank
-    (linalg.rank_mod_p); anything else goes to linalg.rref over the session
-    field."""
-    if rank_mod_p(model.matrix, ctx.residues) == model.domain_dim:
-        return model.domain_dim
-    return len(rref(model.matrix)[1])
+def _model_rank(complex_, table, residues, p, N):
+    """The model at N and its rank.  A full column rank of the residue
+    model certifies full column rank (linalg.rank_mod_p); anything else,
+    or a table without residues, goes to rref over the session field on
+    the model of the Scalars."""
+    if residues is not None:
+        model = build_truncation_model(complex_, residues, N)
+        rank = rank_mod_p(model.matrix, p)
+        if rank == model.domain_dim:
+            return model, rank
+    model = build_truncation_model(complex_, table, N)
+    return model, len(rref(model.matrix)[1])
 
 
 def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
@@ -140,10 +190,11 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     if module_kernel:
         # the module kernel does not depend on N
         return module_kernel, None, certified
+    table = coefficient_table(maps)
+    residues = _residue_table(ctx.residues, table)
     out = []
     for n in (N, N + 4):
-        model = build_truncation_model(complex_, maps, n)
-        rank = _sparse_rank(ctx, model)
+        model, rank = _model_rank(complex_, table, residues, ctx.residues.p, n)
         out.append((model.domain_dim - rank, model.codomain_dim - rank))
     ker, coker = out[0]
     return ker, coker, out[0] == out[1]
@@ -165,16 +216,17 @@ def oracle_rank(germ, w, N=DEFAULT_PRECISION):
 def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):
     """Re-derive the bookkeeping exponents of every part of every point.
 
-    Each part is realized, and its C0 and C1 generator exponents are
-    recomputed from the realized lattice's weights by rules of this module's
-    own: z^n e generates P_a on a weight-c line for n = ceil(c - a), and
-    P_{<1} for n = floor(c - 1) + 1.  The C0 exponents must equal the
-    bookkeeping's, and so must the C1 exponents where C1 is monomial.  On an
-    exceptional part C1 is the join P_{<1} (x) Omega + theta P_0, which need
-    not be monomial; its colength is the sum of the Smith exponents of the
-    r x 2r generator matrix [z^strict | Theta z^(n0 - 1)], and sum(n0) minus
-    that colength must be the part's index.  Returns False on any
-    difference.
+    The C0 and C1 generator exponents of each part are recomputed from the
+    weights of its realized lattice (higgs.realized_lattice, which builds no
+    theta) by rules of this module's own: z^n e generates P_a on a weight-c
+    line for n = ceil(c - a), and P_{<1} for n = floor(c - 1) + 1.  The C0
+    exponents must equal the bookkeeping's, and so must the C1 exponents
+    where C1 is monomial.  On an exceptional part C1 is the join
+    P_{<1} (x) Omega + theta P_0, which need not be monomial; the part is
+    realized to read Theta, the colength is the sum of the Smith exponents
+    of the r x 2r generator matrix [z^strict | Theta z^(n0 - 1)], and
+    sum(n0) minus that colength must be the part's index.  Returns False on
+    any difference.
 
     The lattices depend neither on the twist nor on the precision: the
     generator matrices are exact, so `_w` and `_N` are not read.  They are
@@ -186,8 +238,7 @@ def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):
     for sp in data.points:
         for part in build_local_complex(sp.germ).parts:
             b = part.block
-            g = realize(HiggsGerm.from_blocks(ctx, [b]))
-            weights = g.lattice.weights
+            weights = realized_lattice(ctx, b).weights
             n0 = tuple(ceil(c - c0_level(b)) for c in weights)
             if n0 != part.c0_exponents:
                 return False
@@ -196,6 +247,7 @@ def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):
                     return False
                 continue
             # theta = Theta dz/z sends z^n0[t] e_t to z^(n0[t]-1) Theta e_t dz
+            g = realize(HiggsGerm.from_blocks(ctx, [b]))
             r = len(weights)
             gens = LaurentMatrix(ctx, [
                 [TruncatedLaurent.monomial(ctx, ctx.one, floor(weights[i] - 1) + 1)

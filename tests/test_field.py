@@ -20,6 +20,11 @@ def ctx():
     return FieldContext(M=12, symbols=("x", "y"))
 
 
+def _coords(a):
+    """The power-basis coordinates of a cyclotomic element, as Fractions."""
+    return tuple(Fraction(c, a[-1]) for c in a[:-1])
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
     assert cyclotomic_polynomial(4) == [1, 0, 1]
@@ -68,11 +73,9 @@ def test_sort_key_total_and_stable(ctx):
 def _fraction_sort_key(s):
     """The sort key as it was once computed, through a Fraction for each
     cyclotomic coordinate."""
-    coords = s.ctx.cyc.coords
-
     def enc(p):
         return tuple(
-            (m, tuple((c.numerator, c.denominator) for c in coords(v)))
+            (m, tuple((c.numerator, c.denominator) for c in _coords(v)))
             for m, v in sorted(p.items())
         )
 
@@ -100,6 +103,36 @@ def test_sort_key_matches_the_fraction_formula():
             negative += any(c < 0 for c in v[:-1])
             shared += any(c and gcd(c, v[-1]) > 1 for c in v[:-1])
     assert negative and shared
+
+
+def _fraction_cyc_str(ctx, c):
+    """The text of a cyclotomic coefficient as it was once printed, through
+    a Fraction for each coordinate."""
+    terms = []
+    for i, q in enumerate(_coords(c)):
+        if not q:
+            continue
+        if i == 0:
+            terms.append(str(q))
+        else:
+            z = f"zeta{ctx.N}" + (f"^{i}" if i > 1 else "")
+            terms.append(z if q == 1 else f"{q}*{z}")
+    return " + ".join(terms) if terms else "0"
+
+
+def test_cyc_str_matches_the_fraction_formula(ctx):
+    """Seeded coefficients of Q(zeta_12) with zero, unit, negative and
+    non-integral coordinates print as they did through Fractions."""
+    cf = ctx.cyc
+    rng = random.Random(14)
+    seen = set()
+    for _ in range(300):
+        coords = [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+                  if rng.random() < 0.6 else Fraction(0) for _ in range(cf.degree)]
+        c = cf.from_coords(coords)
+        assert field._cyc_str(ctx, c) == _fraction_cyc_str(ctx, c), coords
+        seen.update(q for q in coords if q in (0, 1, -1) or q.denominator > 1)
+    assert {0, 1, -1} <= seen and any(q.denominator > 1 for q in seen)
 
 
 def test_scalar_sqrt(ctx):
@@ -187,7 +220,7 @@ def test_kernel_matches_sympy(N):
     cf = FieldContext(M=N, symbols=("x",)).cyc
 
     def to_poly(a):
-        coords = [sympy.Rational(q.numerator, q.denominator) for q in cf.coords(a)]
+        coords = [sympy.Rational(q.numerator, q.denominator) for q in _coords(a)]
         return sympy.Poly(list(reversed(coords)), z, domain="QQ")
 
     def from_poly(p):
@@ -226,8 +259,8 @@ def test_kernel_results_are_canonical(ca, cb):
         results.append(cf.inv(a))
     for r in results:
         assert _canonical(cf, r)
-        assert cf.from_coords(cf.coords(r)) == r
-    assert cf.coords(a) == tuple(ca)
+        assert cf.from_coords(_coords(r)) == r
+    assert _coords(a) == tuple(ca)
 
 
 def test_schema_keeps_reduced_coordinates():
@@ -327,7 +360,7 @@ def _sympy_converter(ctx):
     def to_sympy(p):
         terms = {
             m: sum((K.from_sympy(sympy.Rational(q.numerator, q.denominator)) * z
-                    for q, z in zip(ctx.cyc.coords(c), powers)), K.zero)
+                    for q, z in zip(_coords(c), powers)), K.zero)
             for m, c in p.items()
         }
         return sympy.Poly.from_dict(terms or {(0,) * len(gens): K.zero}, *gens, domain=K)

@@ -16,6 +16,7 @@ from nahmkit.filtered import (
     grading,
     jump_count,
     lattice_morphism_ok,
+    normalize_weight,
     pullback_covering,
     pushforward_covering,
     tensor_filtered,
@@ -44,6 +45,23 @@ def test_weights_normalized_into_window(ctx):
     lat2 = lat.relevel(2)
     assert set(lat2.weights) == {F(4, 3), F(5, 4)}
     assert degree_contribution(lat2) - degree_contribution(lat) == 2 * lat.rank
+
+
+def test_normalize_weight_is_the_ceiling_formula():
+    """(x - k, k) with k = ceil(x - level), the weight a Fraction, for int
+    and Fraction weights and levels, in the window and out of it."""
+    rng = random.Random(5)
+    cases = [(0, 0), (-1, 0), (1, 0), (F(1, 2), F(1, 2)), (F(-1, 2), F(1, 2)), (3, 2)]
+    for _ in range(200):
+        level = rng.choice([0, 1, F(1, 2), F(-7, 3)])
+        cases.append((level + F(rng.randint(-18, 12), rng.randint(1, 6)), level))
+    inside = 0
+    for x, level in cases:
+        k = ceil(F(x) - F(level))
+        w, shift = normalize_weight(x, level)
+        assert type(w) is F and (w, shift) == (F(x) - k, k), (x, level)
+        inside += shift == 0
+    assert 10 < inside < len(cases) - 10
 
 
 def test_dual_examples(ctx):

@@ -500,3 +500,55 @@ def test_block_germ_weights_are_the_realized_weights(ctx):
             blocks.append(b)
     g = HiggsGerm.from_blocks(ctx, blocks[:6])
     assert g.weights() == list(realize(g).lattice.weights)
+
+
+def _blocks_of_every_shape(ctx, rng):
+    """Blocks of every shape with p + m <= 6, one to three lines with seeded
+    weights (reduced into (-1, 0] or not), by a radicand or a lead with a
+    tail where that is possible, and exceptional blocks with a nilpotent
+    part."""
+    for p, m in SHAPES:
+        for k in (1, 2, 3):
+            weights = [F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(k)]
+            if k == 2:
+                weights = [F(-rng.randint(0, 5), 6) for _ in range(k)]
+            if m == 0:
+                yield ElementaryBlock.make(ctx, p, 0, alpha=ctx.rational(rng.randint(-2, 2)),
+                                           weights=weights)
+            elif rng.random() < 0.5:
+                yield ElementaryBlock.make(ctx, p, m, weights=weights,
+                                           radicand=ctx.rational(rng.randint(1, 5)))
+            else:
+                tail = [ctx.rational(rng.randint(-2, 2)) for _ in range(m - 1)]
+                yield ElementaryBlock.make(ctx, p, m, weights=weights, tail=tail,
+                                           lead=ctx.rational(rng.randint(1, 3)))
+    for k in (2, 3):
+        weights = [F(-rng.randint(0, 5), 6) for _ in range(k)]
+        nilp = [[ctx.one if j == i + 1 else ctx.zero for j in range(k)] for i in range(k)]
+        yield ElementaryBlock.make(ctx, 1, 0, weights=weights, nilp=nilp)
+
+
+def test_one_block_realization_is_the_block_germ(ctx):
+    """realize hands back realize_block's germ on a one-block germ.  The
+    reference is the general route: sort the block's germ again by its
+    weights and copy theta into a block diagonal of one block."""
+    rng = random.Random(17)
+    for b in _blocks_of_every_shape(ctx, rng):
+        g = realize(HiggsGerm.from_blocks(ctx, [b]))
+        lat, theta = higgs.realize_block(ctx, b)
+        want_lat, want_theta = higgs._sorted_germ(
+            ctx, list(lat.weights), LaurentMatrix.block_diagonal(ctx, [theta]))
+        assert (g.lattice.level, g.lattice.weights) == (want_lat.level, want_lat.weights), b
+        assert g.theta.entries == want_theta.entries, b
+
+
+def test_realized_lattice_is_the_lattice_of_the_realization(ctx):
+    """higgs.realized_lattice builds no theta; its weights are those of
+    realize on every block shape with p + m <= 6, the nilpotent ones too."""
+    rng = random.Random(19)
+    count = 0
+    for b in _blocks_of_every_shape(ctx, rng):
+        lat = higgs.realized_lattice(ctx, b)
+        assert lat.weights == realize(HiggsGerm.from_blocks(ctx, [b])).lattice.weights, b
+        count += 1
+    assert count == 3 * len(SHAPES) + 2

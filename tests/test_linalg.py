@@ -2,8 +2,8 @@
 toolkit over the session field, against sympy.
 
 linalg.rref serves rank and kernel, and the oracle's rank of a
-truncated model where the rank mod p (linalg.rank_mod_p) does not certify
-full column rank; each is compared with sympy's exact rational linear
+truncated model where the rank mod p (linalg.rank_mod_p, on the residues
+of the model's coefficients) does not certify full column rank; each is compared with sympy's exact rational linear
 algebra on seeded random matrices, and so are linalg.charpoly, poly_divmod
 and poly_xgcd.
 """
@@ -105,11 +105,35 @@ def test_rref_leaves_rows_and_zero_rows(ctx):
     assert red == [{0: ctx.one, 2: ctx.rational(2)}, {1: ctx.one}]
 
 
+def _model_19x16(ctx, scale):
+    """The complex of a (2, 1) block and the twist w = scale / 2; its model
+    at N = 8 is 19 x 16.  The lead is 2 scale, so the map is scale times the
+    map at scale 1."""
+    b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.rational(2) * scale, weights=(F(-1, 4),))
+    return build_local_complex(HiggsGerm.from_blocks(ctx, [b])), ctx.rational(F(1, 2)) * scale
+
+
+def _counted_eliminations(monkeypatch):
+    """The row counts of the models the oracle hands each elimination."""
+    eliminations = {"rank_mod_p": [], "rref": []}
+
+    def counting(name):
+        fn = getattr(linalg, name)
+
+        def counted(rows, *args):
+            eliminations[name].append(len(rows))
+            return fn(rows, *args)
+        return counted
+
+    for name in eliminations:
+        monkeypatch.setattr(oracle, name, counting(name))
+    return eliminations
+
+
 def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
-    b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.rational(2), weights=(F(-1, 4),))
-    complex_ = build_local_complex(HiggsGerm.from_blocks(ctx, [b]))
-    maps = oracle.part_maps(complex_, ctx.rational(F(1, 2)))
-    model = oracle.build_truncation_model(complex_, maps, 8)
+    complex_, w = _model_19x16(ctx, ctx.one)
+    table = oracle.coefficient_table(oracle.part_maps(complex_, w))
+    model = oracle.build_truncation_model(complex_, table, 8)
     assert (model.codomain_dim, model.domain_dim) == (19, 16)
     # not triangular: two columns share their lowest nonzero row
     lowest = {}
@@ -117,39 +141,31 @@ def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
         for c in row:
             lowest.setdefault(c, r)
     assert len(set(lowest.values())) < model.domain_dim
-    eliminations = []
-
-    def counted(rows):
-        eliminations.append(len(rows))
-        return linalg.rref(rows)
-
-    monkeypatch.setattr(oracle, "rref", counted)
-    rank = oracle._sparse_rank(ctx, model)
-    assert eliminations == []  # the rank mod p decided
+    eliminations = _counted_eliminations(monkeypatch)
+    ker, coker, certified = oracle.truncated_cokernel(complex_, (w, None), 8)
+    # the rank mod p decided
+    assert eliminations == {"rank_mod_p": [19, 27], "rref": []}
     dense = [[model.matrix[i].get(j, ctx.zero).as_fraction()
               for j in range(model.domain_dim)] for i in range(model.codomain_dim)]
-    assert rank == model.domain_dim - len(_sympy(dense).nullspace())
+    assert ker == len(_sympy(dense).nullspace()) == 0
+    assert (coker, certified) == (3, True)
 
 
 def test_oracle_rank_falls_through_to_rref(ctx, monkeypatch):
-    """Where the residues lose rank, or some entry has none, rref decides."""
+    """Where the residues lose rank, or some coefficient has none, rref
+    decides, once for each of the models at N and N + 4.  The 19 x 16 model
+    times a - point vanishes mod p; times 1 / (a - point) it has no
+    residue, so no model mod p is built; both have the rank of the model
+    itself."""
     a = ctx.sym("a")
-    at = ctx.rational(ctx.residues.point[0])
-    vanishing = [{0: ctx.one, 1: ctx.sym("w")}, {1: a - at}]
-    no_image = [{0: ctx.one, 1: ctx.sym("w")}, {1: (a - at).inverse()}]
-    assert linalg.rank_mod_p(vanishing, ctx.residues) == 1
-    assert linalg.rank_mod_p(no_image, ctx.residues) is None
-    eliminations = []
-
-    def counted(rows):
-        eliminations.append(len(rows))
-        return linalg.rref(rows)
-
-    monkeypatch.setattr(oracle, "rref", counted)
-    for rows in (vanishing, no_image):
-        model = oracle.TruncationModel(N=0, domain_dim=2, codomain_dim=2, matrix=rows)
-        assert oracle._sparse_rank(ctx, model) == 2
-    assert eliminations == [2, 2]
+    vanishing = a - ctx.rational(ctx.residues.point[0])
+    assert ctx.residues(vanishing) == 0
+    assert ctx.residues(vanishing.inverse()) is None
+    for scale, mod_p in ((vanishing, [19, 27]), (vanishing.inverse(), [])):
+        complex_, w = _model_19x16(ctx, scale)
+        eliminations = _counted_eliminations(monkeypatch)
+        assert oracle.truncated_cokernel(complex_, (w, None), 8) == (0, 3, True)
+        assert eliminations == {"rank_mod_p": mod_p, "rref": [19, 27]}
 
 
 def _random_scalar(ctx, rng):
@@ -177,10 +193,12 @@ def test_rank_mod_p_against_rref_over_symbols():
         else:
             mat = [[_random_scalar(ctx, rng) if rng.random() < 0.5 else ctx.zero
                     for _ in range(cols)] for _ in range(rows)]
-        sparse = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in mat]
+        residues = [[ctx.residues(x) for x in row] for row in mat]
+        assert all(v is not None for row in residues for v in row)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in residues]
         exact = linalg.rank(mat)
-        mod_p = linalg.rank_mod_p(sparse, ctx.residues)
-        assert mod_p is not None and mod_p <= exact
+        mod_p = linalg.rank_mod_p(sparse, ctx.residues.p)
+        assert mod_p <= exact
         if mod_p == cols:
             assert exact == cols
             certified += 1

@@ -1,8 +1,10 @@
 """Brute-force verification layer: truncated models and cross-checks."""
 
+import importlib
 import random
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from nahmkit.higgs import ElementaryBlock, HiggsGerm
 from nahmkit.localnahm import block_index, build_local_complex
 from nahmkit.oracle import (
     build_truncation_model,
+    coefficient_table,
     degree_crosscheck,
     oracle_rank,
     part_maps,
@@ -116,7 +119,7 @@ def test_oracle_rank_matches_bookkeeping_suite(ctx):
 def test_model_shape(ctx):
     b = ElementaryBlock.make(ctx, 1, 0, alpha=ctx.sym("a"), weights=(F(-1, 4),))
     c = complex_of(ctx, [b])
-    model = build_truncation_model(c, part_maps(c, ctx.sym("w")), 8)
+    model = build_truncation_model(c, coefficient_table(part_maps(c, ctx.sym("w"))), 8)
     # the (N) x (N+1)-style rectangle: one extra codomain coordinate
     assert model.codomain_dim == model.domain_dim + 1
     assert truncated_cokernel(c, (ctx.sym("w"), None), 8)[0] == 0
@@ -172,13 +175,91 @@ def test_rank_mod_p_against_rref_on_suite_models(ctx):
     w = ctx.sym("w")
     for shape in SUITE_SHAPES:
         c = suite_complex(ctx, shape)
-        maps = part_maps(c, w)
+        table = coefficient_table(part_maps(c, w))
+        residues = oracle._residue_table(ctx.residues, table)
         for n in range(8, 13):
-            model = build_truncation_model(c, maps, n)
-            mod_p = linalg.rank_mod_p(model.matrix, ctx.residues)
+            model = build_truncation_model(c, table, n)
+            mod_p = linalg.rank_mod_p(
+                build_truncation_model(c, residues, n).matrix, ctx.residues.p)
             exact = len(linalg.rref(model.matrix)[1])
-            assert mod_p is not None and mod_p <= exact, (shape, n)
+            assert mod_p <= exact, (shape, n)
             assert mod_p == model.domain_dim and exact == mod_p, (shape, n)
+
+
+def _exact_cokernel(complex_, w, N):
+    """truncated_cokernel with every rank by rref over the session field."""
+    maps = part_maps(complex_, w)
+    bases = [lmatrix.kernel_basis(M) for M in maps]
+    if any(basis for basis, _ in bases):
+        return sum(len(basis) for basis, _ in bases), None, all(ok for _, ok in bases)
+    table = coefficient_table(maps)
+    out = []
+    for n in (N, N + 4):
+        model = build_truncation_model(complex_, table, n)
+        rank = len(linalg.rref(model.matrix)[1])
+        out.append((model.domain_dim - rank, model.codomain_dim - rank))
+    return (*out[0], out[0] == out[1])
+
+
+def _workload_points(monkeypatch, seed):
+    """(complex, w, N, result) of every truncated_cokernel call of one pass
+    of the benchmark's oracle workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    seen = []
+    real = workloads.truncated_cokernel
+
+    def recording(complex_, twist, N):
+        result = real(complex_, twist, N)
+        seen.append((complex_, twist[0], N, result))
+        return result
+
+    monkeypatch.setattr(workloads, "truncated_cokernel", recording)
+    for op in workloads.build_oracle(seed):
+        op.run()
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_on_the_workload_points_against_exact_elimination(monkeypatch, seed):
+    """On every point of the benchmark's oracle workload the oracle's
+    (ker, coker, certified) is that of the all-exact route."""
+    points = _workload_points(monkeypatch, seed)
+    assert len(points) == 110
+    for complex_, w, N, result in points:
+        assert result == _exact_cokernel(complex_, w, N), [p.block for p in complex_.parts]
+
+
+def test_one_realization_per_part_and_one_residue_per_coefficient(ctx, monkeypatch):
+    """Count-only guard on a point of two parts, one of them exceptional:
+    truncated_cokernel and degree_crosscheck realize each part once, and the
+    exceptional part once more (to read its theta); ctx.residues is called
+    once for each nonzero coefficient of the maps, far fewer times than the
+    two models have entries."""
+    w = ctx.sym("w")
+    germ = HiggsGerm.from_blocks(ctx, [suite_germ(ctx, (2, 1)).blocks[0],
+                                       nilpotent_block(ctx, (F(-1, 2), F(0)), {(0, 1)})])
+    c = build_local_complex(germ)
+    assert [p.block.is_exceptional() for p in c.parts] == [False, True]
+    table = coefficient_table(part_maps(c, w))
+    coefficients = sum(len(terms) for part in table for _, _, terms in part)
+    entries = sum(len(row) for n in (24, 28)
+                  for row in build_truncation_model(c, table, n).matrix)
+    calls = {"realize": 0, "residues": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    residue_map = type(ctx.residues)
+    monkeypatch.setattr(oracle, "realize", counting("realize", oracle.realize))
+    monkeypatch.setattr(residue_map, "__call__", counting("residues", residue_map.__call__))
+    assert truncated_cokernel(c, (w, None), 24) == (0, c.index, True)
+    assert degree_crosscheck(point_data(ctx, germ), w, 24)
+    assert calls == {"realize": len(c.parts) + 1, "residues": coefficients}
+    assert 4 * coefficients < entries
 
 
 def test_uncertified_module_kernel_is_reported(ctx, monkeypatch):

@@ -24,6 +24,11 @@ def ctx():
     return FieldContext(M=12, symbols=("x1", "x2", "nu1", "nu2"))
 
 
+def _coords(a):
+    """The power-basis coordinates of a cyclotomic element, as Fractions."""
+    return tuple(F(c, a[-1]) for c in a[:-1])
+
+
 def test_reduce_examples(ctx):
     assert torus_reduce(TorusPoint("T_dual", 1, 0)).is_zero_class()
     p = torus_reduce(TorusPoint("T_dual", F(3, 2), F(-1, 4)))
@@ -65,13 +70,13 @@ def _scalar_to_point_by_symbol(ctx, s, gens):
     zm = (0,) * ctx.nvars
     for name in ctx.symbols:
         mono = tuple(1 if nm == name else 0 for nm in ctx.symbols)
-        if set(s.den) != {zm} or any(ctx.cyc.coords(s.den[zm])[1:]):
+        if set(s.den) != {zm} or any(_coords(s.den[zm])[1:]):
             continue
-        dc = ctx.cyc.coords(s.den[zm])[0]
+        dc = _coords(s.den[zm])[0]
         c = s.num.get(mono)
         if c is None:
             continue
-        c = ctx.cyc.coords(c)
+        c = _coords(c)
         if any(c[1:]) or c[0] == 0:
             continue
         c = c[0] / dc
