@@ -51,31 +51,30 @@ def _read_document(path):
     return schema.loads(text)
 
 
-def _emit(obj, fmt, out=None):
-    out = out if out is not None else sys.stdout
+def _emit(obj, fmt):
     if fmt == "json":
-        print(schema.json_text(obj), file=out)
+        print(schema.json_text(obj))
     else:
-        _emit_text(obj, out)
+        _emit_text(obj)
 
 
-def _emit_text(obj, out, indent=0):
+def _emit_text(obj, indent=0):
     pad = "  " * indent
     if isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)):
-                print(f"{pad}{k}:", file=out)
-                _emit_text(v, out, indent + 1)
+                print(f"{pad}{k}:")
+                _emit_text(v, indent + 1)
             else:
-                print(f"{pad}{k}: {v}", file=out)
+                print(f"{pad}{k}: {v}")
     elif isinstance(obj, list):
         for v in obj:
             if isinstance(v, (dict, list)):
-                _emit_text(v, out, indent)
+                _emit_text(v, indent)
             else:
-                print(f"{pad}- {v}", file=out)
+                print(f"{pad}- {v}")
     else:
-        print(f"{pad}{obj}", file=out)
+        print(f"{pad}{obj}")
 
 
 def _precision(args, doc=None):

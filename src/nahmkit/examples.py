@@ -33,19 +33,21 @@ def _higgs(ctx, points):
     return AdmissibleHiggsData(ctx, points)
 
 
-def tame_rank1(ctx, alpha=None, weight=Fraction(-1, 4), degree=0):
+def tame_rank1(ctx):
     """Rank-1 tame datum at a symbolic position."""
-    alpha = ctx.sym("x1") if alpha is None else alpha
-    b = ElementaryBlock.make(ctx, 1, 0, alpha=alpha, weights=(weight,), degrees=(degree,))
+    b = ElementaryBlock.make(
+        ctx, 1, 0, alpha=ctx.sym("x1"), weights=(Fraction(-1, 4),), degrees=(0,)
+    )
     sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
     return _higgs(ctx, [sp])
 
 
-def pushforward(ctx, p, m, lead=None, weight=Fraction(0), degree=0):
+def pushforward(ctx, p, m):
     """Push-forward of a line datum with monomial exponential factor of
     u-degree m along the degree-p covering."""
-    lead = ctx.sym("x1") if lead is None else lead
-    b = ElementaryBlock.make(ctx, p, m, lead=lead, weights=(weight,), degrees=(degree,))
+    b = ElementaryBlock.make(
+        ctx, p, m, lead=ctx.sym("x1"), weights=(Fraction(0),), degrees=(0,)
+    )
     sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
     return _higgs(ctx, [sp])
 

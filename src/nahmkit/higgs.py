@@ -566,7 +566,7 @@ def _eval_poly_at_matrix(ctx, coeffs, A):
     return out
 
 
-def compatible_subframe(ctx, weights, vecs, guard=400):
+def compatible_subframe(ctx, weights, vecs):
     """Weight-respecting reduction of spanning vectors to a compatible frame
     of the saturated sub-lattice (intersection of the ambient lattice with
     the spanned subspace); returns (sub_weights, columns).
@@ -596,7 +596,7 @@ def compatible_subframe(ctx, weights, vecs, guard=400):
             out.append(e._get(int(exp)) if exp.denominator == 1 else ctx.zero)
         return out
 
-    for _ in range(guard):
+    for _ in range(400):  # a guard: each reduction lowers a degree
         degs = [pdeg(v) for v in vs]
         classes = {}
         for i, d in enumerate(degs):
@@ -755,12 +755,6 @@ def _descend_series(ctx, c, phat):
 # ----------------------------------------------------------------------
 # slope decomposition
 # ----------------------------------------------------------------------
-
-
-def germ_newton_slopes(germ):
-    """Newton-polygon slopes of det(T - theta-matrix) with multiplicities."""
-    g = realize(germ)
-    return newton_polygon(charpoly(g.theta))
 
 
 def slope_decomposition(germ):

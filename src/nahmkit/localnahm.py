@@ -81,25 +81,6 @@ class ComplexBlock:
         """deg C1 - deg C0 (each unit exponent drop adds one to degree)."""
         return sum(self.c0_exponents) - sum(self.c1_exponents)
 
-    def _as_lattice(self, ctx, exponents):
-        degs = [c - n for c, n in zip(self.down_weights, exponents)]
-        level = max(degs)
-        if min(degs) <= level - 1:
-            raise InputError(
-                "lattice join spans a full unit interval; no single-level "
-                "presentation exists (exceptional part)"
-            )
-        from .filtered import FilteredLattice
-
-        return FilteredLattice(ctx, degs, level=level)
-
-    def c0_lattice(self, ctx):
-        return self._as_lattice(ctx, self.c0_exponents)
-
-    def c1_lattice(self, ctx):
-        """The C1 lattice as a filtered lattice (one-form twist implicit)."""
-        return self._as_lattice(ctx, self.c1_exponents)
-
 
 @dataclass(frozen=True)
 class LocalComplexLattices:
@@ -267,8 +248,3 @@ def local_nahm_inf_0(germ):
         )
     blocks = tuple(transform_block_inf_0(b) for b in germ.blocks)
     return HiggsGerm.from_blocks(germ.ctx, blocks, coord="finite")
-
-
-def transform_rank(germ):
-    """Rank of the local transform by degree bookkeeping."""
-    return build_local_complex(germ).index

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .errors import InputError, PrecisionExhausted
+from .errors import InputError
 from .higgs import HiggsGerm, realize, realized_lattice
 from .linalg import rank_mod_p, rref
 from .lmatrix import LaurentMatrix, kernel_basis, smith_normal_form
@@ -60,8 +60,11 @@ def part_maps(complex_, w):
     for part in complex_.parts:
         g = realize(HiggsGerm.from_blocks(ctx, [part.block]))
         r = g.lattice.rank
-        # theta = A dz/z = (A/z) dz
-        M = g.theta.shift(-1) + LaurentMatrix.identity(ctx, r).scale(wz)
+        # theta = A dz/z = (A/z) dz, and w dzeta puts w on the diagonal
+        M = LaurentMatrix(ctx, [
+            [e.shift(-1) + wz if i == j else e.shift(-1) for j, e in enumerate(row)]
+            for i, row in enumerate(g.theta.entries)
+        ])
         # realized weights match part.down_weights (both sorted descending)
         if tuple(g.lattice.weights) != part.down_weights:
             raise InputError("complex lattice data out of sync with realization")
@@ -168,8 +171,8 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     """Exact kernel/cokernel dimensions of the truncated complex.
 
     twist is (w, L): w a session scalar (symbolic for the generic fiber),
-    L a torus twist class or None (it only affects which degeneracies are
-    flagged, not the matrix).  Returns (dim ker, dim coker, certified);
+    L a torus twist class or None.  L is not read: the maps and the models
+    depend on w alone.  Returns (dim ker, dim coker, certified);
     certification means stability under N -> N + 4, or for a module kernel
     that kernel_basis certified it.
 
@@ -198,19 +201,6 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
         out.append((model.domain_dim - rank, model.codomain_dim - rank))
     ker, coker = out[0]
     return ker, coker, out[0] == out[1]
-
-
-def oracle_rank(germ, w, N=DEFAULT_PRECISION):
-    """Transform rank of one germ by the truncated-cokernel oracle."""
-    complex_ = build_local_complex(germ)
-    ker, coker, certified = truncated_cokernel(complex_, (w, None), N)
-    if not certified:
-        raise PrecisionExhausted("oracle rank did not stabilize under N -> N+4")
-    if ker:
-        raise PrecisionExhausted(
-            "oracle found a module kernel; the fiber rank is not defined"
-        )
-    return coker
 
 
 def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):

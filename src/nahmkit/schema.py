@@ -1,9 +1,10 @@
 """JSON document schema: exact, float-free serialization.
 
 Rationals are {"num": ..., "den": ...}; scalars are term lists over the
-cyclotomic power basis; series carry valuation, coefficient array and
-precision.  A document declares its own session field, so parsing is
-self-contained: parse(emit(x)) == x for every suite object.
+cyclotomic power basis; torus points carry their lattice coordinates,
+symbolic position and constant channel.  A document declares its own
+session field, so parsing is self-contained: parse(emit(x)) == x for every
+suite document.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import gcd, lcm
 from .errors import InputError
 from .field import FieldContext, reduced
 from .higgs import ElementaryBlock, HiggsGerm
-from .series import TruncatedLaurent
 from .torus import TorusPoint
 from .elliptic import AdmissibleHiggsData, FilteredBundleData, SingularPoint
 
@@ -106,28 +106,6 @@ def scalar_from_json(ctx, obj):
     if all(ctx.cyc.is_zero(c) for c in den.values()):
         raise InputError("scalar with zero denominator")
     return reduced(ctx, num, den)
-
-
-# -- series --
-
-
-def series_to_json(s):
-    return {
-        "val": s.val,
-        "coeffs": [scalar_to_json(c) for c in s.coeffs],
-        "prec": s.prec,
-        "exact": s.exact,
-    }
-
-
-def series_from_json(ctx, obj):
-    return TruncatedLaurent(
-        ctx,
-        _int(obj["val"], "series valuation"),
-        [scalar_from_json(ctx, c) for c in obj["coeffs"]],
-        prec=None if obj.get("prec") is None else _int(obj["prec"], "series precision"),
-        exact=_bool(obj.get("exact", False), "series exact"),
-    )
 
 
 # -- torus points --

@@ -89,11 +89,6 @@ class TruncatedLaurent:
             return self.coeffs[i - self.val]
         return self.ctx.zero
 
-    def leading(self):
-        if not self.coeffs:
-            raise PrecisionExhausted("leading coefficient of a zero-to-precision series")
-        return self.coeffs[0]
-
     # -- arithmetic --
 
     def _align(self, other):
@@ -275,9 +270,6 @@ class TruncatedLaurent:
             and self.val == other.val
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.val, self.coeffs, self.prec, self.exact))
 
     def __str__(self):
         terms = []

@@ -144,18 +144,8 @@ def torus_reduce(x):
 # -- Scalar <-> point conversions (dual side) --
 
 
-def point_to_scalar(ctx, point, gens=DUAL_GENS):
-    """The lift of a dual-torus point as a session scalar."""
-    out = ctx.rational(point.q1) * ctx.sym(gens[0]) + ctx.rational(point.q2) * ctx.sym(gens[1])
-    for name, coeff in point.sym:
-        out = out + ctx.rational(coeff) * ctx.sym(name)
-    if point.const is not None:
-        out = out + point.const
-    return out
-
-
-def scalar_to_point(ctx, s, lattice="T_dual", gens=DUAL_GENS, is_lift=True):
-    """Parse a scalar as a torus point.
+def scalar_to_point(ctx, s, gens=DUAL_GENS):
+    """Parse a scalar as a point of the dual torus, a chosen lift.
 
     The rational-linear part in the declared generator symbols becomes the
     lattice coordinates, rational-linear parts in other symbols become the
@@ -181,12 +171,12 @@ def scalar_to_point(ctx, s, lattice="T_dual", gens=DUAL_GENS, is_lift=True):
                 sym[name] = c
             rest = rest - ctx.rational(c) * ctx.sym(name)
     const = None if rest.is_zero() else rest
-    return TorusPoint(lattice, q[gens[0]], q[gens[1]], sym, const, is_lift=is_lift)
+    return TorusPoint("T_dual", q[gens[0]], q[gens[1]], sym, const, is_lift=True)
 
 
-def lattice_vector(ctx, n1, n2, gens=DUAL_GENS):
+def lattice_vector(ctx, n1, n2):
     """n1*nu1 + n2*nu2 as a scalar (an exact dual-lattice element)."""
-    return ctx.rational(n1) * ctx.sym(gens[0]) + ctx.rational(n2) * ctx.sym(gens[1])
+    return ctx.rational(n1) * ctx.sym(DUAL_GENS[0]) + ctx.rational(n2) * ctx.sym(DUAL_GENS[1])
 
 
 # ----------------------------------------------------------------------

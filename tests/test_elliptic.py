@@ -46,6 +46,20 @@ def test_divisor_reduced(ctx):
         AdmissibleHiggsData(ctx, [p1, p2])
 
 
+def test_data_classes_refuse_a_germ_of_the_other_side(ctx):
+    with pytest.raises(InputError, match="higgs germs must be presented at coord='finite'"):
+        AdmissibleHiggsData(ctx, [hpoint(ctx, [tame(ctx)], coord="infinity")])
+    with pytest.raises(InputError, match="bundle germs must be presented at coord='infinity'"):
+        FilteredBundleData(ctx, [hpoint(ctx, [tame(ctx)])])
+
+
+def test_blocks_of_a_matrix_germ_are_refused(ctx):
+    germ = realize(HiggsGerm.from_blocks(ctx, [tame(ctx)]))
+    sp = SingularPoint(TorusPoint("T_dual", is_lift=True), germ)
+    with pytest.raises(InputError, match="canonical germ required"):
+        sp.blocks()
+
+
 def test_parabolic_degree_examples(ctx):
     d0 = AdmissibleHiggsData(ctx, [hpoint(ctx, [tame(ctx, weight=F(0))])])
     assert global_parabolic_degree(d0) == 0

@@ -15,7 +15,6 @@ from nahmkit.higgs import (
     HiggsGerm,
     admissibility_check,
     endo_germ_wrap,
-    germ_newton_slopes,
     _scalar_nth_root,
     goodness_decomposition,
     hensel_split,
@@ -24,7 +23,7 @@ from nahmkit.higgs import (
     slope_decomposition,
     type_decomposition,
 )
-from nahmkit.lmatrix import LaurentMatrix
+from nahmkit.lmatrix import LaurentMatrix, charpoly, invert_matrix, newton_polygon
 from nahmkit.series import TruncatedLaurent as TL
 
 
@@ -35,6 +34,11 @@ def ctx():
 
 def mono(ctx, c, e):
     return TL.monomial(ctx, c, e)
+
+
+def _newton_slopes(germ):
+    """Newton-polygon slopes of det(T - theta-matrix) with multiplicities."""
+    return newton_polygon(charpoly(realize(germ).theta))
 
 
 # every block shape (p, m) with p + m <= 6
@@ -80,7 +84,7 @@ def test_slope_check_examples(ctx):
 
 def test_newton_slope_agreement(ctx):
     g = HiggsGerm.from_blocks(ctx, [block21(ctx)])
-    assert germ_newton_slopes(g) == [(F(1, 2), 2)]
+    assert _newton_slopes(g) == [(F(1, 2), 2)]
     dec = slope_decomposition(realize(g))
     assert [(gg.rank, pm) for gg, pm in dec] == [(2, (2, 1))]
 
@@ -176,8 +180,6 @@ def test_radicand_realization_is_equivalent(ctx):
     a = ctx.sym("a")
     explicit = ElementaryBlock.make(ctx, 3, 2, lead=a, weights=(F(0),))
     rad_only = ElementaryBlock.make(ctx, 3, 2, radicand=a ** 3, weights=(F(0),))
-    from nahmkit.lmatrix import charpoly
-
     cp1 = charpoly(realize(HiggsGerm.from_blocks(ctx, [explicit])).theta)
     cp2 = charpoly(realize(HiggsGerm.from_blocks(ctx, [rad_only])).theta)
     for c1, c2 in zip(cp1, cp2):
@@ -219,21 +221,21 @@ def test_endo_germ_wrap(ctx):
         FilteredLattice(ctx, [F(0)]), LaurentMatrix(ctx, [[TL.from_scalar(a)]])
     )
     assert g.coord == "infinity"
-    assert germ_newton_slopes(g) == [(F(1), 1)]
+    assert _newton_slopes(g) == [(F(1), 1)]
     # eigenvalue ~ tau^(1/2): slope (2,1)
     g2 = endo_germ_wrap(
         FilteredLattice(ctx, [F(0), F(-1, 2)]),
         LaurentMatrix(ctx, [[TL.zero(ctx), TL.monomial(ctx, a, 1)], [one, TL.zero(ctx)]]),
     )
-    assert germ_newton_slopes(g2) == [(F(1, 2), 2)]
+    assert _newton_slopes(g2) == [(F(1, 2), 2)]
     # nilpotent constant: slope 0, type (1, 0, 0)
     g3 = endo_germ_wrap(
         FilteredLattice(ctx, [F(0), F(0)]),
         LaurentMatrix(ctx, [[TL.zero(ctx), one], [TL.zero(ctx), TL.zero(ctx)]]),
     )
-    assert germ_newton_slopes(g3) == [(F(0), 2)]
+    assert _newton_slopes(g3) == [(F(0), 2)]
     # irregular wrap must have slopes m/p <= 1 (boundedness of g)
-    assert all(mu <= 1 for mu, _ in germ_newton_slopes(g2))
+    assert all(mu <= 1 for mu, _ in _newton_slopes(g2))
     with pytest.raises(InputError):
         endo_germ_wrap(
             FilteredLattice(ctx, [F(0)]), LaurentMatrix(ctx, [[mono(ctx, a, -1)]])
@@ -310,6 +312,61 @@ def test_goodness_of_three_tame_residues():
     assert res.good and sorted(b.table_key() for b in res.all_blocks()) == want
 
 
+def test_compatible_subframe_reduces_a_gauged_tame_germ(ctx, monkeypatch):
+    """Two realized tame blocks with residues 1 and 2, weights (-1/2, -2/3)
+    and (-2/3), gauged by g = 1 + E_20 + E_21 (1 on the diagonal, z^0 below
+    it; k = 0 >= max(ceil(w_i - w_j), 0), so g preserves the filtration).
+    g is constant, so z g' = 0 and the gauged field is g^-1 A g.  The
+    kernel vectors of one charpoly factor then have dependent graded
+    leads, and compatible_subframe's loop reduces them; goodness still
+    recovers the two blocks."""
+    blocks = [
+        ElementaryBlock.make(ctx, 1, 0, alpha=ctx.rational(1), weights=(F(-1, 2), F(-2, 3))),
+        ElementaryBlock.make(ctx, 1, 0, alpha=ctx.rational(2), weights=(F(-2, 3),)),
+    ]
+    g = realize(HiggsGerm.from_blocks(ctx, blocks))
+    assert g.lattice.weights == (F(-1, 2), F(-2, 3), F(-2, 3))
+    one, zero = TL.from_scalar(ctx.one), TL.zero(ctx)
+    gauge = LaurentMatrix(ctx, [[one, zero, zero], [zero, one, zero], [one, one, one]])
+    gauged = HiggsGerm.from_matrix(g.lattice, invert_matrix(gauge) * g.theta * gauge)
+
+    reducing = []
+    real = higgs.compatible_subframe
+
+    def recording(ctx_, weights, vecs):
+        sub_weights, cols = real(ctx_, weights, vecs)
+        spanning = [list(v) for v in vecs]
+        reducing.append(any(list(c) not in spanning for c in cols))
+        return sub_weights, cols
+
+    monkeypatch.setattr(higgs, "compatible_subframe", recording)
+    res = goodness_decomposition(gauged)
+    assert reducing.count(True) >= 1, reducing
+    assert res.good
+    assert sorted(b.table_key() for b in res.all_blocks()) == sorted(b.table_key() for b in blocks)
+
+
+@pytest.mark.parametrize("p, m", [(2, 3), (3, 2)])
+def test_orbit_key_with_a_lead_and_a_tail(ctx, p, m):
+    """Sending lead -> lead * zeta_p^-m and a_i -> a_i * zeta_p^-i (the
+    tail is a_{m-1} ... a_1) is the Galois move of the type: the key stays.
+    Changing a tail entry changes it."""
+    a, b = ctx.sym("a"), ctx.sym("b")
+    lead = a + ctx.rational(2)
+    tail = tuple(b + ctx.rational(i) for i in range(m - 1, 0, -1))
+    key = ElementaryBlock.make(ctx, p, m, lead=lead, tail=tail).orbit_key()
+    moved = ElementaryBlock.make(
+        ctx, p, m, lead=lead * ctx.zeta(p, -m),
+        tail=tuple(t * ctx.zeta(p, -(m - 1 - idx)) for idx, t in enumerate(tail)),
+    )
+    assert moved.orbit_key() == key
+    for idx in range(len(tail)):
+        changed = list(tail)
+        changed[idx] = changed[idx] + ctx.one
+        other = ElementaryBlock.make(ctx, p, m, lead=lead, tail=tuple(changed))
+        assert other.orbit_key() != key
+
+
 def test_precision_refusal_on_truncated_germ(ctx):
     from nahmkit.errors import PrecisionExhausted
 
@@ -348,7 +405,7 @@ def test_decompositions_preserve_rank_and_delta(ctx):
     assert sum(gg.rank for gg, _ in parts) == total_rank
     assert sum(degree_contribution(gg.lattice) for gg, _ in parts) == total_delta
     # newton polygon agreement on slopes and multiplicities
-    np_slopes = {s: mult for s, mult in germ_newton_slopes(g)}
+    np_slopes = {s: mult for s, mult in _newton_slopes(g)}
     for gg, (p, m) in parts:
         assert np_slopes[F(m, p)] == gg.rank
 

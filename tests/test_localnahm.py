@@ -17,7 +17,6 @@ from nahmkit.localnahm import (
     local_nahm_inf_0,
     transform_block_0_inf,
     transform_block_inf_0,
-    transform_rank,
 )
 
 
@@ -118,7 +117,7 @@ def test_germ_level_roundtrip(ctx):
     g = HiggsGerm.from_blocks(ctx, blocks)
     out = local_nahm_0_inf(g)
     assert out.coord == "infinity"
-    assert out.rank == 3 + 1 == transform_rank(g)
+    assert out.rank == 3 + 1 == build_local_complex(g).index
     assert admissibility_check(out, 1, strict=True)
     back = local_nahm_inf_0(out)
     assert [b.table_key() for b in back.blocks] == [b.table_key() for b in blocks]

@@ -9,19 +9,18 @@ from pathlib import Path
 import pytest
 
 from nahmkit import linalg, lmatrix, localnahm, oracle
-from nahmkit.errors import PrecisionExhausted
 from nahmkit.examples import generate_examples
 from nahmkit.field import FieldContext
-from nahmkit.higgs import ElementaryBlock, HiggsGerm
+from nahmkit.higgs import ElementaryBlock, HiggsGerm, realize
 from nahmkit.localnahm import block_index, build_local_complex
 from nahmkit.oracle import (
     build_truncation_model,
     coefficient_table,
     degree_crosscheck,
-    oracle_rank,
     part_maps,
     truncated_cokernel,
 )
+from nahmkit.series import TruncatedLaurent
 from nahmkit.torus import TorusPoint
 from nahmkit.elliptic import AdmissibleHiggsData, SingularPoint
 
@@ -112,8 +111,8 @@ def test_oracle_rank_matches_bookkeeping_suite(ctx):
             else:
                 b = ElementaryBlock.make(ctx, p, m, lead=a, weights=(F(-2, 5),))
                 expect = p + m
-            g = HiggsGerm.from_blocks(ctx, [b])
-            assert oracle_rank(g, w, 24) == expect
+            c = build_local_complex(HiggsGerm.from_blocks(ctx, [b]))
+            assert truncated_cokernel(c, (w, None), 24) == (0, expect, True)
 
 
 def test_model_shape(ctx):
@@ -230,6 +229,36 @@ def test_oracle_on_the_workload_points_against_exact_elimination(monkeypatch, se
         assert result == _exact_cokernel(complex_, w, N), [p.block for p in complex_.parts]
 
 
+def _matrix_sum_maps(complex_, w):
+    """The earlier route of part_maps, kept as its reference: each part's
+    map as the matrix sum theta.shift(-1) + w * identity."""
+    ctx = complex_.germ.ctx
+    wz = TruncatedLaurent.from_scalar(w)
+    maps = []
+    for part in complex_.parts:
+        g = realize(HiggsGerm.from_blocks(ctx, [part.block]))
+        ident = lmatrix.LaurentMatrix.identity(ctx, g.lattice.rank)
+        maps.append(g.theta.shift(-1) + ident.scale(wz))
+    return maps
+
+
+def _entry_data(M):
+    return [[(e.val, e.coeffs, e.prec, e.exact) for e in row] for row in M.entries]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_part_maps_against_the_matrix_sum_on_the_workload_points(monkeypatch, seed):
+    """On every part of every point of the benchmark's oracle workload,
+    each entry of part_maps' map has the valuation, coefficients, precision
+    and exactness of the matrix-sum route."""
+    for complex_, w, _N, _result in _workload_points(monkeypatch, seed):
+        maps = part_maps(complex_, w)
+        reference = _matrix_sum_maps(complex_, w)
+        assert len(maps) == len(reference) == len(complex_.parts)
+        for M, ref in zip(maps, reference):
+            assert _entry_data(M) == _entry_data(ref), [p.block for p in complex_.parts]
+
+
 def test_one_realization_per_part_and_one_residue_per_coefficient(ctx, monkeypatch):
     """Count-only guard on a point of two parts, one of them exceptional:
     truncated_cokernel and degree_crosscheck realize each part once, and the
@@ -268,8 +297,6 @@ def test_uncertified_module_kernel_is_reported(ctx, monkeypatch):
         ctx, [ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(F(0),))])
     c = build_local_complex(germ)
     assert truncated_cokernel(c, (ctx.sym("w"), None), 24) == (len(c.parts), None, False)
-    with pytest.raises(PrecisionExhausted):
-        oracle_rank(germ, ctx.sym("w"), 24)
 
 
 def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch):

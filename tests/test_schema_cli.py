@@ -12,17 +12,14 @@ from nahmkit.errors import InputError
 from nahmkit.examples import catalog_names, generate_examples
 from nahmkit.elliptic import a0_check, a3_check
 from nahmkit.field import FieldContext
-from nahmkit.series import TruncatedLaurent as TL
 
 
-def test_scalar_series_roundtrip():
+def test_scalar_roundtrip():
     ctx = FieldContext(M=12, symbols=("x", "y"))
     x, y = ctx.sym("x"), ctx.sym("y")
     s = (x + 2 * y) / (x + ctx.rational(F(1, 3))) * ctx.zeta(12)
     back = schema.scalar_from_json(ctx, schema.scalar_to_json(s))
     assert back == s
-    t = TL(ctx, -2, (s, ctx.one, x), prec=4)
-    assert schema.series_from_json(ctx, schema.series_to_json(t)) == t
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -129,6 +126,24 @@ def test_cli_malformed_input(tmp_path):
     bad.write_text("{")
     assert cli_run(["check", str(bad)]) == 2
     assert cli_run(["check", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("refusal, message", [
+    ("point on T", "singular points live on the dual torus"),
+    ("repeated point", "divisor is not reduced (repeated point)"),
+])
+def test_cli_refuses_a_point_off_the_dual_torus_and_a_repeated_point(
+        tmp_path, capsys, refusal, message):
+    obj = json.loads(schema.dumps(generate_examples("mixed-suite")))
+    lifts = obj["payload"]["lifts"]
+    if refusal == "point on T":
+        lifts[0]["lattice"] = "T"
+    else:
+        lifts[1] = lifts[0]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj))
+    assert cli_run(["check", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"InputError: {message}\n")
 
 
 def test_cli_stdin_input(doc_path, capsys, monkeypatch):
@@ -433,24 +448,3 @@ def test_bool_fields_refuse_other_values():
                 schema.loads(_mutated(obj, path, value))
 
 
-@pytest.mark.parametrize("value", ["x", 1, None])
-def test_series_exact_must_be_a_boolean(value):
-    # no CLI document carries a series, so the reader is tested directly
-    ctx = FieldContext(M=12, symbols=("x",))
-    obj = schema.series_to_json(TL(ctx, 0, (ctx.one,), prec=3))
-    obj["exact"] = value
-    with pytest.raises(InputError):
-        schema.series_from_json(ctx, obj)
-
-
-def test_complex_lattice_views():
-    from nahmkit.localnahm import build_local_complex
-    from nahmkit.higgs import ElementaryBlock, HiggsGerm
-
-    ctx = FieldContext(M=12, symbols=("a",))
-    b = ElementaryBlock.make(ctx, 2, 1, lead=ctx.sym("a"), weights=(F(0),))
-    part = build_local_complex(HiggsGerm.from_blocks(ctx, [b])).parts[0]
-    c0 = part.c0_lattice(ctx)
-    c1 = part.c1_lattice(ctx)
-    assert c0.level == F(-1) and c1.level == F(1, 2)
-    assert part.index == 3

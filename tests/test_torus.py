@@ -13,7 +13,6 @@ from nahmkit.torus import (
     TorusPoint,
     g_equiv,
     lattice_vector,
-    point_to_scalar,
     scalar_to_point,
     torus_reduce,
 )
@@ -55,7 +54,10 @@ def test_reduce_idempotent_and_equivalence(ctx):
 
 def test_point_scalar_roundtrip(ctx):
     pt = TorusPoint("T_dual", F(1, 2), F(-2, 3), sym={"x1": F(1)}, is_lift=True)
-    s = point_to_scalar(ctx, pt)
+    # the lift of pt as a scalar: q1*nu1 + q2*nu2 plus its symbolic position
+    s = ctx.rational(pt.q1) * ctx.sym("nu1") + ctx.rational(pt.q2) * ctx.sym("nu2")
+    for name, coeff in pt.sym:
+        s = s + ctx.rational(coeff) * ctx.sym(name)
     back = scalar_to_point(ctx, s)
     assert back == pt and (back.q1, back.q2) == (pt.q1, pt.q2)
 
