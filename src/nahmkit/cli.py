@@ -27,6 +27,7 @@ from .errors import (
 from . import schema
 from .elliptic import AdmissibleHiggsData
 from .examples import catalog_names, generate_examples
+from .field import FieldContext
 from .higgs import admissibility_check
 from .localnahm import build_local_complex
 from .oracle import degree_crosscheck, truncated_cokernel
@@ -56,6 +57,10 @@ def _emit(obj, fmt):
         print(schema.json_text(obj))
     else:
         _emit_text(obj)
+
+
+def _print_report(report, fmt):
+    print(report.to_json() if fmt == "json" else report.to_text())
 
 
 def _emit_text(obj, indent=0):
@@ -126,10 +131,7 @@ def cmd_check(args):
             and conditions["A3"].ok
             and conditions["Good"].ok
         )
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _print_report(report, args.format)
     return EXIT_OK if ok else EXIT_VERDICT
 
 
@@ -168,20 +170,14 @@ def cmd_roundtrip(args):
     if doc["kind"] != "higgs":
         raise InputError("roundtrip starts from a 'higgs' document")
     report = roundtrip_report(doc["data"])
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _print_report(report, args.format)
     return EXIT_OK if report.roundtrip == "pass" else EXIT_VERDICT
 
 
 def cmd_invariants(args):
     doc = _read_document(args.document)
     report = invariants(doc["data"])
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+    _print_report(report, args.format)
     return EXIT_OK
 
 
@@ -197,8 +193,6 @@ def _field_override(args):
         raise InputError("--field expects 'M,k' with integers")
     if k < 0:
         raise InputError("--field expects a symbol count k >= 0")
-    from .field import FieldContext
-
     extra = tuple(f"x{i}" for i in range(1, max(k, 2) + 1))
     names = extra + ("w", "s1", "s2", "nu1", "nu2")
     return FieldContext(M=M, symbols=names)

@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, NotAdmissible
+from . import linalg
+from .errors import InputError
 from .higgs import (
     ElementaryBlock,
     HiggsGerm,
     admissibility_check,
+    canonical_germ,
     goodness_decomposition,
 )
 from .torus import TorusPoint
@@ -78,25 +80,13 @@ class _DataBase:
         Matrix germs are decomposed through their goodness structure; a
         germ that resists is a hard error.  Degrees of recognized blocks
         default to zero (matrix germs carry no global degree data)."""
-        pts = []
-        changed = False
-        for sp in self.points:
-            if sp.germ.is_canonical():
-                pts.append(sp)
-                continue
-            res = goodness_decomposition(sp.germ)
-            if not res.good:
-                raise NotAdmissible(
-                    f"germ at {sp.point!r} has no canonical form: {res.failure}"
-                )
-            pts.append(
-                SingularPoint(
-                    sp.point,
-                    HiggsGerm.from_blocks(self.ctx, res.all_blocks(), self.coord),
-                )
-            )
-            changed = True
-        return type(self)(self.ctx, pts) if changed else self
+        if all(sp.germ.is_canonical() for sp in self.points):
+            return self
+        return type(self)(self.ctx, [
+            SingularPoint(sp.point, canonical_germ(
+                sp.germ, f"germ at {sp.point!r} has no canonical form: "))
+            for sp in self.points
+        ])
 
     def all_blocks(self):
         out = []
@@ -312,8 +302,6 @@ def _kernel_lines(block):
         else:
             nonzero_cols.append(col)
     if nonzero_cols:
-        from . import linalg
-
         mat = [list(row) for row in zip(*nonzero_cols)]
         if linalg.rank(mat) != len(nonzero_cols):
             raise InputError(
@@ -323,22 +311,27 @@ def _kernel_lines(block):
     return out
 
 
+def _section_lines(blocks):
+    """(point, degree, twist) of every kernel line of degree >= 0 of the
+    exceptional blocks among (point, block) pairs: only those lines can
+    carry the sections the scans look for."""
+    for pt, b in blocks:
+        if b.is_exceptional():
+            for t in _kernel_lines(b):
+                if b.degrees[t] >= 0:
+                    yield pt, b.degrees[t], b.twists[t] if b.twists else None
+
+
 def _h0_scan_higgs(ctx, blocks):
     """Failing (w, L) classes of the flat-section scan on the dual-torus
-    side, over (point, block) pairs; only exceptional blocks can support
-    flat sections, at w = 0."""
+    side, over (point, block) pairs; flat sections live at w = 0."""
     failing = []
-    for _, b in blocks:
-        if not b.is_exceptional():
-            continue
-        for t in _kernel_lines(b):
-            d = b.degrees[t]
-            tw = b.twists[t] if b.twists else None
-            if d > 0:
-                failing.append((ctx.zero, None, "H0"))  # all classes
-            elif d == 0:
-                cls = (-tw) if tw is not None else TorusPoint("T")
-                failing.append((ctx.zero, cls, "H0"))
+    for _, d, tw in _section_lines(blocks):
+        if d > 0:
+            cls = None  # all classes
+        else:
+            cls = -tw if tw is not None else TorusPoint("T")
+        failing.append((ctx.zero, cls, "H0"))
     return failing
 
 
@@ -347,18 +340,14 @@ def _h0_scan_bundle(blocks):
     branches (product side), over (point, block) pairs; classes live on
     the dual torus."""
     failing = []
-    for pt, b in blocks:
-        if not b.is_exceptional():
-            continue
-        for t in _kernel_lines(b):
-            d = b.degrees[t]
-            tw = b.twists[t] if (b.twists and b.twists[t] is not None
-                                 and b.twists[t].lattice == "T_dual") else None
-            if d > 0:
-                failing.append((None, None, "H0"))
-            elif d == 0:
-                cls = -(pt + tw) if tw is not None else -pt
-                failing.append((None, cls.reduce(), "H0"))
+    for pt, d, tw in _section_lines(blocks):
+        if d > 0:
+            cls = None
+        elif tw is not None and tw.lattice == "T_dual":
+            cls = (-(pt + tw)).reduce()
+        else:
+            cls = (-pt).reduce()
+        failing.append((None, cls, "H0"))
     return failing
 
 
@@ -377,6 +366,16 @@ def _negate_classes(failing):
     return out
 
 
+def _vanishing_check(name, data, scan):
+    """The report of a vanishing condition: `scan` over the blocks of the
+    canonical datum, then over the duals of its exceptional blocks with
+    classes negated, deduplicated."""
+    blocks = data.canonical().all_blocks()
+    failing = scan(blocks) + _negate_classes(scan(_exceptional_duals(blocks)))
+    failing = _dedupe(failing)
+    return ConditionReport(name=name, ok=not failing, failing=failing)
+
+
 def a0_check(data):
     """Hypercohomology concentration for the twisted complexes.
 
@@ -387,11 +386,7 @@ def a0_check(data):
     """
     if not isinstance(data, AdmissibleHiggsData):
         raise InputError("a0_check expects Higgs data on the dual torus")
-    blocks = data.canonical().all_blocks()
-    failing = _h0_scan_higgs(data.ctx, blocks)
-    failing += _negate_classes(_h0_scan_higgs(data.ctx, _exceptional_duals(blocks)))
-    failing = _dedupe(failing)
-    return ConditionReport(name="A0", ok=not failing, failing=failing)
+    return _vanishing_check("A0", data, lambda blocks: _h0_scan_higgs(data.ctx, blocks))
 
 
 def a3_check(data):
@@ -400,11 +395,7 @@ def a3_check(data):
     with classes negated, as in `a0_check`."""
     if not isinstance(data, FilteredBundleData):
         raise InputError("a3_check expects filtered-bundle data")
-    blocks = data.canonical().all_blocks()
-    failing = _h0_scan_bundle(blocks)
-    failing += _negate_classes(_h0_scan_bundle(_exceptional_duals(blocks)))
-    failing = _dedupe(failing)
-    return ConditionReport(name="A3", ok=not failing, failing=failing)
+    return _vanishing_check("A3", data, _h0_scan_bundle)
 
 
 def _dedupe(failing):

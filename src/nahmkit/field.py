@@ -539,10 +539,6 @@ def _prem(cf, a, b, v):
 # ----------------------------------------------------------------------
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 class FieldContext:
     """Session field K_{M,k}; create once, thread through everything."""
 
@@ -550,7 +546,7 @@ class FieldContext:
         if M < 1:
             raise InputError("cyclotomic order M must be positive")
         self.M = M
-        self.N = _lcm(M, 4)
+        self.N = lcm(M, 4)
         self.symbols = tuple(symbols)
         if len(set(self.symbols)) != len(self.symbols):
             raise InputError("duplicate symbol names")

@@ -1086,6 +1086,18 @@ def goodness_decomposition(germ):
     return GoodnessResult(groups=parts, good=True)
 
 
+def canonical_germ(germ, where):
+    """The germ in canonical (block) form: a canonical germ unchanged, a
+    matrix germ through its goodness decomposition.  A matrix germ that is
+    not good raises NotAdmissible with the failure, prefixed by `where`."""
+    if germ.is_canonical():
+        return germ
+    res = goodness_decomposition(germ)
+    if not res.good:
+        raise NotAdmissible(where + res.failure)
+    return HiggsGerm.from_blocks(germ.ctx, res.all_blocks(), germ.coord)
+
+
 # ----------------------------------------------------------------------
 # admissibility and endomorphism germs
 # ----------------------------------------------------------------------

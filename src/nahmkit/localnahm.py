@@ -21,9 +21,11 @@ the parabolic degree is preserved exactly) and the leading-datum rule
     radicand -> (p+m)^(p+m) / (m^m p^p) * radicand
 
 (derived by inverting the spectral correspondence; the residue, nilpotent
-part, twists and irregular tail ride along verbatim).  The tame nilpotent
-part (1,0,0) is not transformed here: the global layer owns its injection
-rule, and the local operator refuses it.
+part, twists and irregular tail ride along verbatim).  Both directions are
+one block rule, given the target covering degree, the weight shift (+m/2
+or -M/2) and the radicand factor (kappa or its inverse).  The tame
+nilpotent part (1,0,0) is not transformed here: the global layer owns its
+injection rule, and the local operator refuses it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import InputError, NotAdmissible
-from .higgs import ElementaryBlock, HiggsGerm, goodness_decomposition
-from .filtered import normalize_weight
+from .higgs import ElementaryBlock, HiggsGerm, _scalar_nth_root, canonical_germ
 
 #: the single place the C0/C1 level offsets live
 LEVEL_HALF = Fraction(1, 2)
@@ -100,11 +101,7 @@ def build_local_complex(germ):
     Canonical germs are used directly; matrix germs are first decomposed
     (their goodness structure is the certificate).
     """
-    if not germ.is_canonical():
-        gr = goodness_decomposition(germ)
-        if not gr.good:
-            raise NotAdmissible(gr.failure)
-        germ = HiggsGerm.from_blocks(germ.ctx, gr.all_blocks(), germ.coord)
+    germ = canonical_germ(germ, "")
     parts = []
     for b in germ.blocks:
         down = b.downstairs_weights()
@@ -117,13 +114,13 @@ def build_local_complex(germ):
             # C1 = P_{<1} (x) Omega + theta P_0, a lattice join
             c1 = list(_gen_exponent_strict(w, Fraction(1)) for w in dw)
             if b.nilp:
+                # C0 = P_0 here, so c0 holds the P_0 generator exponents
                 k = b.k
-                n0 = [_gen_exponent(w, Fraction(0)) for w in dw]
                 for t in range(k):
                     for s in range(k):
                         if not b.nilp[order[s]][order[t]].is_zero():
                             # theta maps line t into line s with a dz/z pole
-                            c1[s] = min(c1[s], n0[t] - 1)
+                            c1[s] = min(c1[s], c0[t] - 1)
             c1 = tuple(c1)
         else:
             # C1 = P_{1/2} (x) Omega on the non-exceptional parts
@@ -132,13 +129,6 @@ def build_local_complex(germ):
             ComplexBlock(block=b, down_weights=tuple(dw), c0_exponents=c0, c1_exponents=c1)
         )
     return LocalComplexLattices(germ=germ, parts=tuple(parts))
-
-
-def block_index(block):
-    """Bookkeeping index of one block: the local transform's rank."""
-    ctx = block.alpha.ctx
-    germ = HiggsGerm.from_blocks(ctx, [block])
-    return build_local_complex(germ).parts[0].index
 
 
 # ----------------------------------------------------------------------
@@ -151,53 +141,22 @@ def kappa(p, m):
     return Fraction((p + m) ** (p + m), (m ** m) * (p ** p))
 
 
-def _shift_weights(weights, degrees, shift):
-    ws, ds = [], []
-    for c, d in zip(weights, degrees):
-        w, k = normalize_weight(c + shift, 0)
-        ws.append(w)
-        ds.append(d - k)
-    return tuple(ws), tuple(ds)
-
-
 def transform_block_0_inf(block):
     """N^{0,inf} on one elementary block."""
-    ctx = block.alpha.ctx
     if block.is_exceptional():
         raise NotAdmissible(
             "the tame nilpotent part has no local transform; it is handled "
             "by the global injection rule"
         )
-    if block.m == 0:
-        return ElementaryBlock.make(
-            ctx, 1, 0, alpha=block.alpha, weights=block.weights,
-            degrees=block.degrees, nilp=block.nilp, twists=block.twists,
-        )
     p, m = block.p, block.m
-    half = Fraction(m, 2)
-    ws, ds = _shift_weights(block.weights, block.degrees, half)
-    rad = block.radicand * ctx.rational(kappa(p, m))
-    from .higgs import _scalar_nth_root
-
-    lead = _scalar_nth_root(rad, p + m)
-    return ElementaryBlock.make(
-        ctx, p + m, m, alpha=block.alpha, weights=ws, degrees=ds,
-        radicand=rad, lead=lead, tail=block.tail, nilp=block.nilp,
-        twists=block.twists,
-    )
+    return _transform_block(block, p + m, Fraction(m, 2), kappa(p, m))
 
 
 def transform_block_inf_0(block):
     """N^{inf,0} on one elementary block (slope strictly below 1)."""
-    ctx = block.alpha.ctx
     if block.is_exceptional():
         raise NotAdmissible(
             "nonzero tame nilpotent part: N^{inf,0} is undefined there"
-        )
-    if block.m == 0:
-        return ElementaryBlock.make(
-            ctx, 1, 0, alpha=block.alpha, weights=block.weights,
-            degrees=block.degrees, nilp=block.nilp, twists=block.twists,
         )
     P, M = block.p, block.m
     if P <= M:
@@ -205,17 +164,27 @@ def transform_block_inf_0(block):
             f"slope {M}/{P} is not strictly smaller than 1; not in the image "
             "of the forward transform"
         )
-    p = P - M
-    half = Fraction(M, 2)
-    ws, ds = _shift_weights(block.weights, block.degrees, -half)
-    rad = block.radicand / ctx.rational(kappa(p, M))
-    from .higgs import _scalar_nth_root
+    return _transform_block(block, P - M, -Fraction(M, 2), 1 / kappa(P - M, M))
 
-    lead = _scalar_nth_root(rad, p)
+
+def _transform_block(block, p, shift, factor):
+    """The block rule of both directions: an irregular block becomes one of
+    covering degree p, its weights shifted by `shift` (`make` normalizes
+    them into (-1, 0], the base degrees compensating) and its radicand
+    multiplied by `factor`; a tame block is carried as a fresh (1, 0) block
+    of its residue data."""
+    ctx = block.alpha.ctx
+    if block.m == 0:
+        return ElementaryBlock.make(
+            ctx, 1, 0, alpha=block.alpha, weights=block.weights,
+            degrees=block.degrees, nilp=block.nilp, twists=block.twists,
+        )
+    rad = block.radicand * ctx.rational(factor)
     return ElementaryBlock.make(
-        ctx, p, M, alpha=block.alpha, weights=ws, degrees=ds,
-        radicand=rad, lead=lead, tail=block.tail, nilp=block.nilp,
-        twists=block.twists,
+        ctx, p, block.m, alpha=block.alpha,
+        weights=tuple(c + shift for c in block.weights), degrees=block.degrees,
+        radicand=rad, lead=_scalar_nth_root(rad, p), tail=block.tail,
+        nilp=block.nilp, twists=block.twists,
     )
 
 
@@ -225,9 +194,7 @@ def local_nahm_0_inf(germ):
     Output is a canonical germ at infinity whose slopes are strictly
     smaller than 1; rank and filtered data are computed blockwise.
     """
-    if not germ.is_canonical():
-        complex_ = build_local_complex(germ)
-        germ = complex_.germ
+    germ = canonical_germ(germ, "")
     if germ.coord != "finite":
         raise InputError("forward transform expects a germ at a finite point")
     blocks = tuple(transform_block_0_inf(b) for b in germ.blocks)
@@ -236,9 +203,7 @@ def local_nahm_0_inf(germ):
 
 def local_nahm_inf_0(germ):
     """Backward local transform; the tame nilpotent part must vanish."""
-    if not germ.is_canonical():
-        complex_ = build_local_complex(germ)
-        germ = complex_.germ
+    germ = canonical_germ(germ, "")
     if germ.coord != "infinity":
         raise InputError("backward transform expects a germ at infinity")
     if any(b.is_exceptional() for b in germ.blocks):

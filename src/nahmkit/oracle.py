@@ -39,9 +39,8 @@ from .series import DEFAULT_PRECISION, TruncatedLaurent
 
 @dataclass
 class TruncationModel:
-    """Finite model of the lattice map C0 -> C1 at truncation order N."""
+    """Finite model of the lattice map C0 -> C1 at a truncation order."""
 
-    N: int
     domain_dim: int
     codomain_dim: int
     matrix: list  # sparse rows: list of dict {col: coefficient}
@@ -148,9 +147,7 @@ def build_truncation_model(complex_, table, N):
                 # n0_j <= t < T and n1_i <= s = k + t < T
                 for t in range(max(n0[j], n1[i] - k), T - max(k, 0)):
                     rows[rb + k + t][cb + t] = v
-    return TruncationModel(
-        N=N, domain_dim=col_off, codomain_dim=len(rows), matrix=rows
-    )
+    return TruncationModel(domain_dim=col_off, codomain_dim=len(rows), matrix=rows)
 
 
 def _model_rank(complex_, table, residues, p, N):

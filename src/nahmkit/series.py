@@ -103,10 +103,9 @@ class TruncatedLaurent:
             return other.truncate(prec)
         if not other.coeffs:
             return self.truncate(prec)
-        lo = min(self.val if self.coeffs else 0, other.val if other.coeffs else 0)
+        lo = min(self.val, other.val)
         hi_bound = prec if prec != math.inf else max(
-            (self.val + len(self.coeffs)) if self.coeffs else 0,
-            (other.val + len(other.coeffs)) if other.coeffs else 0,
+            self.val + len(self.coeffs), other.val + len(other.coeffs)
         )
         out = []
         for i in range(lo, int(hi_bound)):

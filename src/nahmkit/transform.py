@@ -32,7 +32,7 @@ from .elliptic import (
 )
 from .higgs import ElementaryBlock, HiggsGerm
 from .localnahm import (
-    block_index,
+    build_local_complex,
     local_nahm_0_inf,
     transform_block_inf_0,
 )
@@ -164,9 +164,10 @@ def nahm_forward(data, skip_checks=False):
     out_points = []
     out_rank = 0
     for sp in data.points:
-        out_rank += sum(block_index(b) for b in sp.blocks())
+        complex_ = build_local_complex(sp.germ)
+        out_rank += complex_.index
         out_points.append(
-            SingularPoint(point=sp.point, germ=local_nahm_0_inf(sp.germ))
+            SingularPoint(point=sp.point, germ=local_nahm_0_inf(complex_.germ))
         )
     out = FilteredBundleData(data.ctx, out_points)
     if out.rank != out_rank:
@@ -314,5 +315,4 @@ def invariants(data):
         report.conditions["A1A2"] = a1a2_check(data)
         report.conditions["A3"] = a3_check(data)
     report.conditions["Good"] = good_check(data)
-    report.c2 = None  # reserved: no pinned combinatorial second Chern number
     return report

@@ -28,7 +28,6 @@ from nahmkit.filtered import (
 )
 from nahmkit.higgs import ElementaryBlock, HiggsGerm, admissibility_check
 from nahmkit.localnahm import (
-    block_index,
     build_local_complex,
     transform_block_0_inf,
     transform_block_inf_0,
@@ -177,7 +176,7 @@ def test_criterion_4_local_nahm(ctx):
             germ = HiggsGerm.from_blocks(ctx, [b])
             complex_ = build_local_complex(germ)
             ker, coker, certified = truncated_cokernel(complex_, (w, None), 24)
-            assert certified and ker == 0 and coker == p + m == block_index(b)
+            assert certified and ker == 0 and coker == p + m == complex_.index
             dt = time.time() - t0
             worst = max(worst, dt)
             assert dt < 5.0, f"({p},{m}) took {dt:.2f}s"

@@ -30,6 +30,9 @@ are exempt, so a value that must be unpacked but is not needed is `_`.
 Every parameter of a function of nahmkit is read in that function, under
 the same exemption; `self` and `cls` are exempt too.  A parameter that must
 stay for its callers but is not read is named with a leading `_`.
+
+No function of nahmkit imports: every import sits at the top of its module,
+where the module's dependencies are read in one place.
 """
 
 import ast
@@ -312,3 +315,19 @@ def test_every_parameter_is_read():
     for path in sorted(PACKAGE.glob("*.py")):
         unread |= _unread_parameters(path)
     assert not unread, f"parameters the function never reads: {sorted(unread)}"
+
+
+def _function_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        f"{path.name}:{node.lineno}:{fn.name}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+
+
+def test_no_function_imports():
+    inside = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        inside |= _function_imports(path)
+    assert not inside, f"imports inside functions: {sorted(inside)}"
