@@ -142,15 +142,13 @@ def cmd_transform(args):
         if doc["kind"] != "higgs":
             raise InputError("forward transform needs a 'higgs' document")
         out, report = nahm_forward(data)
-        out_kind = "bundle"
     else:
         if doc["kind"] != "bundle":
             raise InputError("backward transform needs a 'bundle' document")
         out, report = nahm_backward(data)
-        out_kind = "higgs"
     out_doc = {
         "ctx": doc["ctx"],
-        "kind": out_kind,
+        "kind": out.kind,
         "data": out,
         "precision": doc.get("precision"),
     }

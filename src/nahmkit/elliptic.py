@@ -126,7 +126,6 @@ class FilteredBundleData(_DataBase):
 
     kind = "bundle"
     coord = "infinity"
-    tau_tag = "infinity"
 
 
 # ----------------------------------------------------------------------

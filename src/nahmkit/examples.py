@@ -29,17 +29,13 @@ def _pt(q1=0, q2=0, sym=None):
     return TorusPoint("T_dual", q1, q2, sym=sym or {}, is_lift=True)
 
 
-def _higgs(ctx, points):
-    return AdmissibleHiggsData(ctx, points)
-
-
 def tame_rank1(ctx):
     """Rank-1 tame datum at a symbolic position."""
     b = ElementaryBlock.make(
         ctx, 1, 0, alpha=ctx.sym("x1"), weights=(Fraction(-1, 4),), degrees=(0,)
     )
     sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
-    return _higgs(ctx, [sp])
+    return AdmissibleHiggsData(ctx, [sp])
 
 
 def pushforward(ctx, p, m):
@@ -49,7 +45,7 @@ def pushforward(ctx, p, m):
         ctx, p, m, lead=ctx.sym("x1"), weights=(Fraction(0),), degrees=(0,)
     )
     sp = SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b], "finite"))
-    return _higgs(ctx, [sp])
+    return AdmissibleHiggsData(ctx, [sp])
 
 
 def _line_bundle(ctx):
@@ -77,19 +73,19 @@ def _mixed_suite(ctx):
         SingularPoint(_pt(sym={"s1": 1}), HiggsGerm.from_blocks(ctx, [b21, b10], "finite")),
         SingularPoint(_pt(Fraction(1, 2), Fraction(1, 2)), HiggsGerm.from_blocks(ctx, [b32], "finite")),
     ]
-    return _higgs(ctx, pts)
+    return AdmissibleHiggsData(ctx, pts)
 
 
 def _catalog():
     return {
         "tame-rank1": (
             "rank-1 tame datum, symbolic residue and position",
-            lambda ctx: tame_rank1(ctx),
+            tame_rank1,
             Fraction(0),
         ),
         "tame-rank1-degenerate": (
             "trivial-Higgs rank-1 datum (fails the concentration condition)",
-            lambda ctx: _higgs(ctx, [SingularPoint(
+            lambda ctx: AdmissibleHiggsData(ctx, [SingularPoint(
                 _pt(),
                 HiggsGerm.from_blocks(
                     ctx,
@@ -117,12 +113,12 @@ def _catalog():
         "line-bundle": (
             "rank-1 filtered-bundle datum (fails the section vanishing at "
             "exactly one twist class)",
-            lambda ctx: _line_bundle(ctx),
+            _line_bundle,
             Fraction(0),
         ),
         "mixed-suite": (
             "two singular points with mixed irregular and tame blocks",
-            lambda ctx: _mixed_suite(ctx),
+            _mixed_suite,
             Fraction(2, 3),
         ),
     }
@@ -146,14 +142,13 @@ def generate_examples(name, ctx=None):
     description, builder, max_slope = cat[name]
     ctx = example_context() if ctx is None else ctx
     data = builder(ctx)
-    kind = "bundle" if isinstance(data, FilteredBundleData) else "higgs"
     return {
         "name": name,
         "description": description,
         "slope_criterion_ok": max_slope <= 1,
         "max_slope": max_slope,
         "ctx": ctx,
-        "kind": kind,
+        "kind": data.kind,
         "data": data,
         "precision": None,
     }

@@ -717,7 +717,7 @@ class Scalar:
 
     def __pow__(self, n):
         if n < 0:
-            return (self.ctx.one / self) ** (-n)
+            return self.inverse() ** (-n)
         out = self.ctx.one
         base = self
         while n:
@@ -989,15 +989,14 @@ def _cyc_sqrt(cf, c):
         return cf.zero
     # candidates q^2 * zeta^(2j) covering c
     for j in range(cf.order):
-        z = cf.root(j)
         # c / zeta^(2j) rational?
-        q = cf.mul(c, cf.inv(cf.root((2 * j) % cf.order)))
+        q = cf.mul(c, cf.root(-2 * j))
         if not any(q[1:-1]):
             n, d = q[0], q[-1]
             if n > 0:
                 rn, rd = isqrt(n), isqrt(d)
                 if rn * rn == n and rd * rd == d:
-                    return cf.mul(cf.from_rational(Fraction(rn, rd)), z)
+                    return cf.mul(cf.from_rational(Fraction(rn, rd)), cf.root(j))
     return None
 
 

@@ -9,8 +9,10 @@ and the provenance of a push-forward where descent needs them.
 
 The operations are the standard ones: grading and parabolic filtration,
 dual, tensor, pull-back along the degree-p cyclic covering, push-forward,
-Galois descent, and the local parabolic-degree contribution delta.  The
-compatible frames they produce are:
+Galois descent, and the local parabolic-degree contribution delta.  Every
+compatible frame has one order, frame_order: weights descending, ties by
+index.  A matrix is a filtered morphism by one certified bound,
+lattice_morphism_ok.  The compatible frames the operations produce are:
 
     pull-back:    w_i = u^{-n_i} phi^* v_i,  n_i = max{n : n + p c_i <= p a}
     push-forward: w~_{ij} = image of u^j v_i, weight (c_i - j)/p.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import InputError
+from .errors import InputError, PrecisionExhausted
 
 
 def normalize_weight(x, level):
@@ -34,6 +36,12 @@ def normalize_weight(x, level):
         return x, 0
     k = ceil(x - level)
     return x - k, k
+
+
+def frame_order(weights):
+    """The compatible frame's order of the given weights: their indices by
+    weight descending, ties by index."""
+    return sorted(range(len(weights)), key=lambda i: (-weights[i], i))
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,7 @@ class FilteredLattice:
     def __init__(self, ctx, weights, level=0, chars=None, push_tag=None):
         level = Fraction(level)
         weights = [normalize_weight(w, level)[0] for w in weights]
-        # canonical order: weights descending, ties by original index
-        order = sorted(range(len(weights)), key=lambda t: (-weights[t], t))
+        order = frame_order(weights)
         self.ctx = ctx
         self.rank = len(weights)
         self.level = level
@@ -234,16 +241,22 @@ def lattice_morphism_ok(g, src_weights, dst_weights):
 
     Column j maps the source frame vector of weight src_weights[j].  The map
     sends every P_a(src) into P_a(dst) exactly when each nonzero entry
-    (i, j) has valuation >= ceil(dst_weights[i] - src_weights[j]).
+    (i, j) has valuation >= ceil(dst_weights[i] - src_weights[j]).  An entry
+    that is zero only to a precision at or below its bound is undecided, and
+    raises PrecisionExhausted whatever the other entries say.
     """
-    for i in range(len(dst_weights)):
-        for j in range(len(src_weights)):
-            e = g.entries[i][j]
-            if not e.coeffs:
-                continue
-            if e.val < ceil(dst_weights[i] - src_weights[j]):
-                return False
-    return True
+    ok = True
+    for i, row in enumerate(g.entries):
+        for j, e in enumerate(row):
+            bound = ceil(dst_weights[i] - src_weights[j])
+            if e.coeffs:
+                if e.val < bound:
+                    ok = False
+            elif not e.exact and e.prec <= bound:
+                raise PrecisionExhausted(
+                    "cannot certify lattice preservation at this precision"
+                )
+    return ok
 
 
 def frames_equivalent(l1, l2):

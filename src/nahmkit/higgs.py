@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, ceil
+from math import gcd
 
 from .errors import (
     FieldExtensionRequired,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from . import linalg
 from .field import scalar_sqrt
-from .filtered import FilteredLattice, normalize_weight
+from .filtered import FilteredLattice, frame_order, lattice_morphism_ok, normalize_weight
 from .lmatrix import (
     LaurentMatrix,
     charpoly,
@@ -289,10 +289,8 @@ def recommended_precision(p, m, weights):
 
 
 def _sorted_germ(ctx, weights, theta):
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    lat = FilteredLattice(ctx, [weights[i] for i in order], level=0)
-    ent = [[theta.entries[order[i]][order[j]] for j in range(len(order))] for i in range(len(order))]
-    return lat, LaurentMatrix(ctx, ent)
+    order = frame_order(weights)
+    return FilteredLattice(ctx, weights, level=0), theta.submatrix(order, order)
 
 
 def realize_block(ctx, block):
@@ -391,24 +389,15 @@ def _germ_pullback(weights, level, A, p):
     """Pull back a matrix germ along u^p = z; returns (weights, A) in the
     compatible frame w_i = u^{-n_i} phi^* v_i, sorted."""
     ctx = A.ctx
-    r = len(weights)
-    ns = []
-    new_w = []
-    for c in weights:
-        n = (p * level - p * c).__floor__()
-        ns.append(n)
-        new_w.append(n + p * c)
-    ent = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            e = A.entries[i][j].substitute_power(p).shift(ns[i] - ns[j])
-            row.append(e * ctx.rational(p))
-        ent.append(row)
-    order = sorted(range(r), key=lambda i: (-new_w[i], i))
-    w_sorted = [new_w[i] for i in order]
-    ent_sorted = [[ent[order[i]][order[j]] for j in range(r)] for i in range(r)]
-    return w_sorted, LaurentMatrix(ctx, ent_sorted)
+    ns = [(p * level - p * c).__floor__() for c in weights]
+    new_w = [n + p * c for n, c in zip(ns, weights)]
+    order = frame_order(new_w)
+    pc = ctx.rational(p)
+    ent = [
+        [A.entries[i][j].substitute_power(p).shift(ns[i] - ns[j]) * pc for j in order]
+        for i in order
+    ]
+    return [new_w[i] for i in order], LaurentMatrix(ctx, ent)
 
 
 @dataclass
@@ -437,18 +426,7 @@ def slope_check(germ, p, m):
     w_up, A_up = _germ_pullback(list(g.lattice.weights), g.lattice.level, g.theta, p)
     X = A_up.shift(m)
     r = len(w_up)
-    lattice_ok = True
-    for i in range(r):
-        for j in range(r):
-            bound = ceil(w_up[i] - w_up[j])
-            e = X.entries[i][j]
-            if e.coeffs:
-                if e.val < bound:
-                    lattice_ok = False
-            elif not e.exact and e.prec <= bound:
-                raise PrecisionExhausted(
-                    "cannot certify lattice preservation at this precision"
-                )
+    lattice_ok = lattice_morphism_ok(X, w_up, w_up)
     residues = {}
     residue_ok = True
     if lattice_ok:
@@ -628,7 +606,7 @@ def compatible_subframe(ctx, weights, vecs):
             reduced = True
             break
         if not reduced:
-            order = sorted(range(len(vs)), key=lambda i: (-degs[i], i))
+            order = frame_order(degs)
             return [degs[i] for i in order], [vs[i] for i in order]
     raise PrecisionExhausted("compatible-frame reduction did not stabilize")
 
@@ -662,7 +640,7 @@ def _split_by_factors(g, factor_list):
             w0, shift = normalize_weight(w, 0)
             norm.append(w0)
             norm_cols.append([e.shift(shift) for e in colv])
-        order = sorted(range(len(norm)), key=lambda i: (-norm[i], i))
+        order = frame_order(norm)
         sub_weights.append([norm[i] for i in order])
         cols.extend([norm_cols[i] for i in order])
         sizes.append(len(norm_cols))
@@ -839,24 +817,13 @@ def _power_factor(ctx, base, mult):
 def _orbit_groups_from_phi(ctx, phi, p, m):
     """Split phi(S) into Galois-orbit factors; returns [(label, factor)].
 
-    For p >= 2 the polynomial must live in S^p; its roots B relate to the
-    block radicand by radicand = B * (-p/m)^p (the realized leading
-    normalization -m a / p).
+    The polynomial must live in S^p, so phi(S) = psi(S^p); each root B of
+    psi gives the factor (S^p - B)^mult.  When m = 0 (so p = 1) B is a
+    residue alpha, labelled ("tame", alpha).  Otherwise B must not vanish,
+    and it relates to the block radicand by radicand = B * (-p/m)^p (the
+    realized leading normalization -m a / p).
     """
     r = len(phi) - 1
-    if (p, m) == (1, 0):
-        return [
-            (("tame", alpha), _power_factor(ctx, [ctx.one, -alpha], mult))
-            for alpha, mult in linalg.scalar_poly_roots(ctx, phi)
-        ]
-    if p == 1:
-        out = []
-        for beta, mult in linalg.scalar_poly_roots(ctx, phi):
-            if beta.is_zero():
-                raise NotAdmissible("pure-slope germ with vanishing residue")
-            rad = beta * ctx.rational(Fraction(-1, m))
-            out.append((("irr", rad), _power_factor(ctx, [ctx.one, -beta], mult)))
-        return out
     if r % p:
         raise NotAdmissible("rank is not divisible by the covering degree")
     psi = []
@@ -870,11 +837,14 @@ def _orbit_groups_from_phi(ctx, phi, p, m):
             )
     out = []
     for B, mult in linalg.scalar_poly_roots(ctx, psi):
-        if B.is_zero():
+        if m == 0:
+            label = ("tame", B)
+        elif B.is_zero():
             raise NotAdmissible("pure-slope germ with vanishing residue")
-        rad = B * ctx.rational(Fraction(-p, m)) ** p
+        else:
+            label = ("irr", B * ctx.rational(Fraction(-p, m) ** p))
         base = [ctx.one] + [ctx.zero] * (p - 1) + [-B]  # S^p - B
-        out.append((("irr", rad), _power_factor(ctx, base, mult)))
+        out.append((label, _power_factor(ctx, base, mult)))
     return out
 
 
@@ -1011,10 +981,8 @@ def _recognize_block(g, cp, p, m, label):
     _, val = label
     if m == 0:
         return ElementaryBlock.make(ctx, 1, 0, alpha=val, weights=tuple(weights_up))
-    tr = g.theta.entries[0][0]
-    for i in range(1, r):
-        tr = tr + g.theta.entries[i][i]
-    alpha = tr.coeff(0) / ctx.rational(k)
+    # cp[1] is minus the trace of theta
+    alpha = -cp[1].coeff(0) / ctx.rational(k)
     block = ElementaryBlock.make(
         ctx, p, m, alpha=alpha, weights=tuple(weights_up),
         radicand=val, lead=_scalar_nth_root(val, p),

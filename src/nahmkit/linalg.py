@@ -336,14 +336,9 @@ def scalar_poly_roots(ctx, coeffs, candidates=()):
             "polynomial does not split over the session field"
         )
     mult = {}
-    order = []
     for r in roots:
-        if r in mult:
-            mult[r] += 1
-        else:
-            mult[r] = 1
-            order.append(r)
-    return [(r, mult[r]) for r in order]
+        mult[r] = mult.get(r, 0) + 1
+    return list(mult.items())
 
 
 def _fallback_guess(ctx, coeffs, k):

@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import InputError, NotAdmissible
+from .filtered import frame_order
 from .higgs import ElementaryBlock, HiggsGerm, _scalar_nth_root, canonical_germ
 
 #: the single place the C0/C1 level offsets live
@@ -105,8 +106,8 @@ def build_local_complex(germ):
     parts = []
     for b in germ.blocks:
         down = b.downstairs_weights()
-        # the realized frame: weights descending, ties in block order
-        order = sorted(range(len(down)), key=lambda i: -down[i])
+        # the realized frame
+        order = frame_order(down)
         dw = [down[i] for i in order]
         l0 = c0_level(b)
         c0 = tuple(_gen_exponent(w, l0) for w in dw)

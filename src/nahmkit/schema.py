@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
 
 from .errors import InputError
-from .field import FieldContext, reduced
+from .field import FieldContext, _coords, reduced
 from .higgs import ElementaryBlock, HiggsGerm
 from .torus import TorusPoint
 from .elliptic import AdmissibleHiggsData, FilteredBundleData, SingularPoint
@@ -66,16 +66,10 @@ def rat_from_json(obj):
 
 
 def _poly_to_json(p):
-    # each power-basis coordinate c/d in lowest terms (d > 0)
-    terms = []
-    for mono, cyc in sorted(p.items()):
-        d = cyc[-1]
-        coords = []
-        for c in cyc[:-1]:
-            g = gcd(c, d)
-            coords.append({"num": c // g, "den": d // g})
-        terms.append({"m": list(mono), "c": coords})
-    return terms
+    return [
+        {"m": list(mono), "c": [{"num": n, "den": d} for n, d in _coords(cyc)]}
+        for mono, cyc in sorted(p.items())
+    ]
 
 
 def _poly_from_json(ctx, terms):
@@ -200,7 +194,7 @@ def block_from_json(ctx, obj, degrees=None):
 def data_to_json(data):
     points = [sp.point for sp in data.points]
     return {
-        "tau_tag": "infinity" if isinstance(data, FilteredBundleData) else "finite",
+        "tau_tag": data.coord,
         "spectrum": [point_to_json(p.reduce()) for p in points],
         "lifts": [point_to_json(p) for p in points],
         "germs": [
@@ -215,7 +209,6 @@ def data_to_json(data):
 
 def data_from_json(ctx, kind, obj):
     cls = AdmissibleHiggsData if kind == "higgs" else FilteredBundleData
-    coord = "finite" if kind == "higgs" else "infinity"
     # the spectrum is read (so checked) even when the lifts give the points
     spectrum = [point_from_json(ctx, p) for p in obj.get("spectrum", ())]
     lifts = [point_from_json(ctx, p) for p in obj.get("lifts") or ()] or spectrum
@@ -229,7 +222,7 @@ def data_from_json(ctx, kind, obj):
             for j, bjson in enumerate(germ_json["blocks"])
         ]
         points.append(
-            SingularPoint(point=pt, germ=HiggsGerm.from_blocks(ctx, blocks, coord))
+            SingularPoint(point=pt, germ=HiggsGerm.from_blocks(ctx, blocks, cls.coord))
         )
     return cls(ctx, points)
 

@@ -85,9 +85,7 @@ class TruncatedLaurent:
         """Coefficient of z^i; raises if i is beyond the known precision."""
         if not self.exact and i >= self.prec:
             raise PrecisionExhausted(f"coefficient of z^{i} unknown (prec {self.prec})")
-        if self.coeffs and self.val <= i < self.val + len(self.coeffs):
-            return self.coeffs[i - self.val]
-        return self.ctx.zero
+        return self._get(i)
 
     # -- arithmetic --
 
@@ -240,7 +238,7 @@ class TruncatedLaurent:
     def galois_twist(self, t):
         """z -> t z for a unit scalar t."""
         out = []
-        tp = t ** self.val if self.val >= 0 else t.inverse() ** (-self.val)
+        tp = t ** self.val
         for c in self.coeffs:
             out.append(c * tp)
             tp = tp * t

@@ -227,18 +227,12 @@ def g_equiv(vf, gens=DUAL_GENS, extra_candidates=()):
         return [], []
     eigs = linalg.eigenvalues_in_field(vf.matrix, candidates=extra_candidates)
     groups = {}
-    order = []
     for val, mult in eigs:
         pt = scalar_to_point(ctx, val, gens=gens).reduce()
-        key = pt.class_key()
-        if key not in groups:
-            groups[key] = (pt, [])
-            order.append(key)
-        groups[key][1].append((val, mult))
+        groups.setdefault(pt.class_key(), (pt, []))[1].append((val, mult))
     spectrum = []
     blocks = []
-    for key in order:
-        pt, vals = groups[key]
+    for pt, vals in groups.values():
         parts = [
             _restrict(ctx, vf.matrix, linalg.generalized_eigenspace(vf.matrix, val, mult))
             for val, mult in vals

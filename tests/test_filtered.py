@@ -6,7 +6,7 @@ from math import ceil
 
 import pytest
 
-from nahmkit.errors import InputError
+from nahmkit.errors import InputError, PrecisionExhausted
 from nahmkit.field import FieldContext
 from nahmkit.filtered import (
     FilteredLattice,
@@ -229,3 +229,19 @@ def test_lattice_morphism_ok_is_the_levelwise_definition(ctx):
         assert lattice_morphism_ok(g, src, dst) == want, (src, dst, g.entries)
         seen.add(want)
     assert seen == {True, False}
+
+
+def test_lattice_morphism_ok_certifies_each_zero_entry(ctx):
+    # src -1/3 to dst 1/3 has bound ceil(2/3) = 1; a zero known below z^1
+    # does not decide the entry, whatever the other entry says
+    undecided = TL.zero(ctx, prec=1, exact=False)
+    decided = TL.zero(ctx, prec=2, exact=False)
+    failing = TL.monomial(ctx, ctx.one, 0)  # bound 1 > valuation 0
+    src, dst = [F(-1, 3)], [F(1, 3), F(1, 3)]
+    for rows in ([[undecided]], [[failing], [undecided]], [[undecided], [failing]]):
+        g = LaurentMatrix(ctx, rows)
+        with pytest.raises(PrecisionExhausted):
+            lattice_morphism_ok(g, src, dst[:len(rows)])
+    assert lattice_morphism_ok(LaurentMatrix(ctx, [[decided]]), src, dst[:1])
+    for rows in ([[failing], [decided]], [[decided], [failing]]):
+        assert not lattice_morphism_ok(LaurentMatrix(ctx, rows), src, dst)

@@ -1,5 +1,6 @@
 """Higgs germ classification: slope certificates, decompositions, goodness."""
 
+import functools
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -609,3 +610,88 @@ def test_realized_lattice_is_the_lattice_of_the_realization(ctx):
         assert lat.weights == realize(HiggsGerm.from_blocks(ctx, [b])).lattice.weights, b
         count += 1
     assert count == 3 * len(SHAPES) + 2
+
+
+def _reference_orbit_groups(ctx, phi, p, m):
+    """The orbit split as three branches (tame, p = 1, p >= 2), kept as the
+    reference for higgs._orbit_groups_from_phi's one loop."""
+    r = len(phi) - 1
+    if (p, m) == (1, 0):
+        return [
+            (("tame", alpha), higgs._power_factor(ctx, [ctx.one, -alpha], mult))
+            for alpha, mult in linalg.scalar_poly_roots(ctx, phi)
+        ]
+    if p == 1:
+        out = []
+        for beta, mult in linalg.scalar_poly_roots(ctx, phi):
+            if beta.is_zero():
+                raise NotAdmissible("pure-slope germ with vanishing residue")
+            rad = beta * ctx.rational(F(-1, m))
+            out.append((("irr", rad), higgs._power_factor(ctx, [ctx.one, -beta], mult)))
+        return out
+    if r % p:
+        raise NotAdmissible("rank is not divisible by the covering degree")
+    psi = []
+    for i in range(r + 1):
+        if i % p == 0:
+            psi.append(phi[i])
+        elif not phi[i].is_zero():
+            raise NotAdmissible(
+                "residue leading form is not Galois-homogeneous "
+                "(germ not admissible over this covering)"
+            )
+    out = []
+    for B, mult in linalg.scalar_poly_roots(ctx, psi):
+        if B.is_zero():
+            raise NotAdmissible("pure-slope germ with vanishing residue")
+        rad = B * ctx.rational(F(-p, m)) ** p
+        base = [ctx.one] + [ctx.zero] * (p - 1) + [-B]
+        out.append((("irr", rad), higgs._power_factor(ctx, base, mult)))
+    return out
+
+
+def _in_s_power(ctx, psi, p):
+    """phi(S) = psi(S^p), descending coefficients."""
+    out = [psi[0]]
+    for c in psi[1:]:
+        out += [ctx.zero] * (p - 1) + [c]
+    return out
+
+
+def test_orbit_split_matches_the_three_branch_reference(ctx):
+    a = ctx.sym("a")
+    lin = lambda c: [ctx.one, -c]  # noqa: E731
+    prod = lambda *fs: functools.reduce(lambda x, y: linalg.poly_mul(ctx, x, y), fs)  # noqa: E731
+    two, three = ctx.rational(2), ctx.rational(3)
+    cases = [
+        # tame, with a repeated root
+        (prod(lin(two), lin(two), lin(three)), 1, 0, 2),
+        (prod(lin(a), lin(a)), 1, 0, 1),
+        # irregular at p = 1
+        (prod(lin(three), lin(three), lin(two)), 1, 1, 2),
+        (prod(lin(a), lin(two)), 1, 2, 2),
+        # in S^p at p = 2 and p = 3
+        (_in_s_power(ctx, prod(lin(a), lin(three)), 2), 2, 1, 2),
+        (_in_s_power(ctx, prod(lin(a), lin(a)), 2), 2, 3, 1),
+        (_in_s_power(ctx, prod(lin(a), lin(two)), 3), 3, 1, 2),
+        (_in_s_power(ctx, lin(a), 3), 3, 2, 1),
+    ]
+    for phi, p, m, n_groups in cases:
+        want = _reference_orbit_groups(ctx, phi, p, m)
+        assert len(want) == n_groups
+        assert higgs._orbit_groups_from_phi(ctx, phi, p, m) == want, (p, m)
+    # the refusals: a vanishing root, a rank the covering does not divide,
+    # a leading form outside S^p
+    refused = [
+        (prod(lin(ctx.zero), lin(two)), 1, 1),
+        (_in_s_power(ctx, prod(lin(ctx.zero), lin(a)), 2), 2, 1),
+        (_in_s_power(ctx, prod(lin(ctx.zero), lin(a)), 3), 3, 2),
+        (prod(lin(a), lin(a), lin(a)), 2, 1),
+        (prod(lin(a), lin(two)), 2, 1),
+    ]
+    for phi, p, m in refused:
+        with pytest.raises(NotAdmissible) as want:
+            _reference_orbit_groups(ctx, phi, p, m)
+        with pytest.raises(NotAdmissible) as got:
+            higgs._orbit_groups_from_phi(ctx, phi, p, m)
+        assert str(got.value) == str(want.value), (p, m)

@@ -33,6 +33,11 @@ stay for its callers but is not read is named with a leading `_`.
 
 No function of nahmkit imports: every import sits at the top of its module,
 where the module's dependencies are read in one place.
+
+Every plain (non-annotated) class attribute of nahmkit is read as an
+attribute (`obj.name`) somewhere in src/, tests/ or perfbench/.  Dunders
+are exempt; annotated names are dataclass fields, which the constructor
+reads.
 """
 
 import ast
@@ -331,3 +336,29 @@ def test_no_function_imports():
     for path in sorted(PACKAGE.glob("*.py")):
         inside |= _function_imports(path)
     assert not inside, f"imports inside functions: {sorted(inside)}"
+
+
+def _class_attributes(path):
+    """module.Class.name for each plain class attribute of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        f"{path.stem}.{cls.name}.{target.id}": target.id
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and not _is_dunder(target.id)
+    }
+
+
+def test_every_class_attribute_is_read():
+    read = {
+        node.attr
+        for top in SEARCHED for path in _files(top)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    attributes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        attributes.update(_class_attributes(path))
+    unread = sorted(where for where, name in attributes.items() if name not in read)
+    assert not unread, f"class attributes nothing reads: {unread}"
