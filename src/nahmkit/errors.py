@@ -16,15 +16,17 @@ class InputError(NahmkitError):
 class FieldExtensionRequired(NahmkitError):
     """The session coefficient field is too small for the requested split.
 
-    Raised instead of silently adjoining roots; the session field is fixed
-    once declared (CLI exit code 3).
+    Raised instead of silently adjoining roots (CLI exit code 3).
+    higgs.realize_block and linalg.scalar_poly_roots still raise it without
+    a witness that the root is missing.
     """
 
 
 class PrecisionExhausted(NahmkitError):
     """A certificate cannot be produced at the working truncation order.
 
-    Carries enough context to retry at a higher precision (CLI exit code 3).
+    Carries a message (CLI exit code 3); the one from higgs._slope_parts
+    names the precision it needs.
     """
 
 

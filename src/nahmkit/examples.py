@@ -81,7 +81,6 @@ def _catalog():
         "tame-rank1": (
             "rank-1 tame datum, symbolic residue and position",
             tame_rank1,
-            Fraction(0),
         ),
         "tame-rank1-degenerate": (
             "trivial-Higgs rank-1 datum (fails the concentration condition)",
@@ -93,33 +92,27 @@ def _catalog():
                     "finite",
                 ),
             )]),
-            Fraction(0),
         ),
         "pushforward-2-1": (
             "degree-2 push-forward with u-degree-1 exponential factor",
             lambda ctx: pushforward(ctx, 2, 1),
-            Fraction(1, 2),
         ),
         "pushforward-3-2": (
             "degree-3 push-forward with u-degree-2 exponential factor",
             lambda ctx: pushforward(ctx, 3, 2),
-            Fraction(2, 3),
         ),
         "pushforward-2-3": (
             "slope 3/2 datum (beyond the instanton slope criterion)",
             lambda ctx: pushforward(ctx, 2, 3),
-            Fraction(3, 2),
         ),
         "line-bundle": (
             "rank-1 filtered-bundle datum (fails the section vanishing at "
             "exactly one twist class)",
             _line_bundle,
-            Fraction(0),
         ),
         "mixed-suite": (
             "two singular points with mixed irregular and tame blocks",
             _mixed_suite,
-            Fraction(2, 3),
         ),
     }
 
@@ -139,9 +132,10 @@ def generate_examples(name, ctx=None):
         raise InputError(
             f"unknown example {name!r}; available: {', '.join(sorted(cat))}"
         )
-    description, builder, max_slope = cat[name]
+    description, builder = cat[name]
     ctx = example_context() if ctx is None else ctx
     data = builder(ctx)
+    max_slope = max(b.slope for _, b in data.all_blocks())
     return {
         "name": name,
         "description": description,

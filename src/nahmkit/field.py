@@ -1032,7 +1032,9 @@ def _poly_sqrt(cf, p):
 
 
 def scalar_sqrt(x):
-    """A square root of x in the session field, or None if none exists."""
+    """A square root of x in the session field, or None when none is found.
+    None is no proof: in Q(zeta_12), scalar_sqrt(3) is None, yet
+    3 = (zeta + zeta^-1)^2 (_cyc_sqrt tries only q * zeta^j, q rational)."""
     cf = x.ctx.cyc
     rn = _poly_sqrt(cf, x.num)
     if rn is None:

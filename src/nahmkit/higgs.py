@@ -471,8 +471,9 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
     if r1 + r2 != r:
         raise InputError("factor degrees do not match")
     g, u, _ = linalg.poly_xgcd(ctx, f0, g0)
-    if len(g) != 1:
-        raise FieldExtensionRequired("mod-z factors are not coprime")
+    # _leading_split's pairs are coprime: f0 with f0(0) != 0 and S^k, or one
+    # orbit's (S^p - B)^mult and the factors of the other roots
+    assert len(g) == 1, "mod-z factors are not coprime"
 
     def c_at(n):
         # coefficient slice of the input at z^n (descending scalar list)
@@ -501,9 +502,8 @@ def hensel_split(ctx, coeffs, f0, g0, prec):
         uR = linalg.poly_mul(ctx, u, R)
         _, dG = linalg.poly_divmod(ctx, uR, g0)
         num = linalg.poly_sub(ctx, R, linalg.poly_mul(ctx, f0, dG))
-        dF, rem = linalg.poly_divmod(ctx, num, g0)
-        if not (len(rem) == 1 and rem[0].is_zero()):
-            raise PrecisionExhausted("Hensel correction not exact")
+        # exact: u f0 = 1 mod g0, so num = R - f0 (u R mod g0) = 0 mod g0
+        dF, _ = linalg.poly_divmod(ctx, num, g0)
         F.append(_pad(ctx, dF, r1))
         G.append(_pad(ctx, dG, r2))
         if not all(x.is_zero() for x in F[n]):
@@ -574,7 +574,8 @@ def compatible_subframe(ctx, weights, vecs):
             out.append(e._get(int(exp)) if exp.denominator == 1 else ctx.zero)
         return out
 
-    for _ in range(400):  # a guard: each reduction lowers a degree
+    # each pass lowers a degree, and the wedge of vs bounds their sum below
+    for _ in range(400):
         degs = [pdeg(v) for v in vs]
         classes = {}
         for i, d in enumerate(degs):
@@ -608,7 +609,7 @@ def compatible_subframe(ctx, weights, vecs):
         if not reduced:
             order = frame_order(degs)
             return [degs[i] for i in order], [vs[i] for i in order]
-    raise PrecisionExhausted("compatible-frame reduction did not stabilize")
+    raise AssertionError("compatible-frame reduction did not stabilize")
 
 
 def _split_by_factors(g, factor_list):
@@ -696,8 +697,8 @@ def _leading_split(g, ctil, p, m, f0):
     """
     ctx = g.ctx
     g0, rem = linalg.poly_divmod(ctx, [c.coeff(0) for c in ctil], f0)
-    if not (len(rem) == 1 and rem[0].is_zero()):
-        raise NotAdmissible("factor does not divide the leading form")
+    # both callers pass a divisor: the top segment or one orbit's factor
+    assert len(rem) == 1 and rem[0].is_zero(), "factor does not divide the leading form"
     prec = min(
         int(c.eff_prec()) if c.eff_prec() != float("inf") else 10 ** 6 for c in ctil
     )
@@ -715,12 +716,12 @@ def _descend_series(ctx, c, phat):
     coeffs = []
     if c.coeffs:
         if c.val % phat != 0:
-            raise PrecisionExhausted("factor does not descend (valuation)")
+            raise NotAdmissible("factor does not descend (valuation)")
         for i, x in enumerate(c.coeffs):
             if (i % phat) == 0:
                 coeffs.append(x)
             elif not x.is_zero():
-                raise PrecisionExhausted("factor does not descend (mixed exponents)")
+                raise NotAdmissible("factor does not descend (mixed exponents)")
         return TruncatedLaurent(
             ctx, c.val // phat, coeffs,
             prec=None if c.exact else -(-c.prec // phat), exact=c.exact,
@@ -785,11 +786,10 @@ def _slope_parts(g, cp):
             )
         return [(g, cp, (p, m))]
     # past the top segment every cover coefficient has positive valuation,
-    # so the leading form is f0 * S^(r - mult)
+    # so the leading form is f0 * S^(r - mult); f0 ends on a vertex, a
+    # coefficient of valuation 0, so S^(r - mult) is prime to f0
     ctil = _cover_form(cp, p, m)
     f0 = [c.coeff(0) for c in ctil[:pm_groups[p, m] + 1]]
-    if f0[-1].is_zero():
-        raise NotAdmissible("top Newton segment is not separated")
     (top, cp_top), (rest, cp_rest) = _leading_split(g, ctil, p, m, f0)
     out = _slope_parts(rest, cp_rest)
     if not slope_check(top, p, m)[0]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .errors import InputError
+from .errors import VerdictFailure
 from .higgs import HiggsGerm, realize, realized_lattice
 from .linalg import rank_mod_p, rref
 from .lmatrix import LaurentMatrix, kernel_basis, smith_normal_form
@@ -52,7 +52,7 @@ def part_maps(complex_, w):
 
     Proves lattice preservation, which does not depend on the truncation
     order: the realized weights match the part's, and no image exponent
-    falls below the C1 floor."""
+    falls below the C1 floor.  A disagreement is a VerdictFailure."""
     ctx = complex_.germ.ctx
     wz = TruncatedLaurent.from_scalar(w)
     maps = []
@@ -66,12 +66,12 @@ def part_maps(complex_, w):
         ])
         # realized weights match part.down_weights (both sorted descending)
         if tuple(g.lattice.weights) != part.down_weights:
-            raise InputError("complex lattice data out of sync with realization")
+            raise VerdictFailure("complex lattice data out of sync with realization")
         for i in range(r):
             for j in range(r):
                 e = M.entries[i][j]
                 if e.coeffs and e.val + part.c0_exponents[j] < part.c1_exponents[i]:
-                    raise InputError(
+                    raise VerdictFailure(
                         "complex map is not lattice-preserving (level error)"
                     )
         maps.append(M)

@@ -426,6 +426,14 @@ def test_field_extension_surface(ctx):
         type_decomposition(g)
 
 
+def test_realizing_a_tailed_block_needs_a_lead_in_the_field(ctx):
+    # radicand 2 with a tail: the lead would be a cube root of 2, which no
+    # abelian extension of Q holds, so Q(zeta_12)(a, b) lacks it
+    b = ElementaryBlock.make(ctx, 3, 2, radicand=ctx.rational(2), tail=(ctx.one,))
+    with pytest.raises(FieldExtensionRequired, match="needs an explicit leading coefficient"):
+        realize(HiggsGerm.from_blocks(ctx, [b]))
+
+
 # -- the sparse Hensel lift --
 
 

@@ -309,6 +309,14 @@ def test_rational_cubic_without_rational_root_does_not_split(ctx):
         linalg.scalar_poly_roots(ctx, cp)
 
 
+def test_t_squared_minus_two_does_not_split(ctx):
+    # the quadratic subfields of Q(zeta_12) are Q(i), Q(sqrt 3) and
+    # Q(sqrt -3), so sqrt 2 is not in Q(zeta_12)(a, w)
+    cp = [ctx.rational(c) for c in (1, 0, -2)]
+    with pytest.raises(FieldExtensionRequired, match="does not split"):
+        linalg.scalar_poly_roots(ctx, cp)
+
+
 def _eager_roots(ctx, coeffs, candidates=()):
     """scalar_poly_roots with every fallback guess built before the first
     trial: the reference for the lazy guesses."""

@@ -127,6 +127,13 @@ def test_newton_polygon_unknown_coefficient(ctx):
     assert out == [(Fraction(2), 2)]
 
 
+def test_newton_polygon_unknown_trailing_coefficient(ctx):
+    # T + O(z^3): the trailing coefficient may be zero or z^3, so the last
+    # vertex of the polygon is unknown at this precision
+    with pytest.raises(PrecisionExhausted, match="trailing Newton-polygon coefficient"):
+        newton_polygon([one(ctx), TL.zero(ctx, prec=3, exact=False)])
+
+
 def test_charpoly_matches_newton(ctx):
     a = ctx.sym("a")
     m = LaurentMatrix(ctx, [[TL.zero(ctx), one(ctx)], [mono(ctx, a * a, -1), TL.zero(ctx)]])

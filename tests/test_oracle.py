@@ -1,5 +1,6 @@
 """Brute-force verification layer: truncated models and cross-checks."""
 
+import dataclasses
 import importlib
 import random
 from fractions import Fraction as F
@@ -23,6 +24,7 @@ from nahmkit.oracle import (
 from nahmkit.series import TruncatedLaurent
 from nahmkit.torus import TorusPoint
 from nahmkit.elliptic import AdmissibleHiggsData, SingularPoint
+from nahmkit.errors import VerdictFailure
 
 
 @pytest.fixture(scope="module")
@@ -402,3 +404,18 @@ def test_oracle_rejects_an_off_by_one_strict_exponent(monkeypatch, delta):
     monkeypatch.setattr(localnahm, "_gen_exponent_strict",
                         lambda c, a: strict(c, a) + delta)
     assert not degree_crosscheck(data, w)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (2, 1), (3, 2)], ids=["1-0", "2-1", "3-2"])
+def test_a_raised_c1_exponent_is_a_verdict_failure(ctx, shape):
+    """One more on a C1 generator exponent moves the C1 floor above an
+    image of the map: the bookkeeping disagrees with the realization, and
+    truncated_cokernel says so as a verdict, not as malformed input."""
+    c = suite_complex(ctx, shape)
+    part = c.parts[0]
+    bad = dataclasses.replace(
+        part, c1_exponents=(part.c1_exponents[0] + 1,) + part.c1_exponents[1:]
+    )
+    c = dataclasses.replace(c, parts=(bad,) + c.parts[1:])
+    with pytest.raises(VerdictFailure, match="not lattice-preserving"):
+        truncated_cokernel(c, (ctx.sym("w"), None), 24)

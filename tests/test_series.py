@@ -79,6 +79,16 @@ def test_coeff_beyond_precision_raises(ctx):
         s.coeff(2)
 
 
+def test_str_forms(ctx):
+    a, one = ctx.sym("a"), ctx.one
+    exact = TL(ctx, -1, (one, ctx.zero, ctx.rational(2), a + one), exact=True)
+    assert str(exact) == "z^-1 + 2*z + (a + 1)*z^2"
+    known = TL(ctx, 0, (ctx.rational(Fraction(-1, 3)), a), prec=4)
+    assert str(known) == "(-1/3) + a*z + O(z^4)"
+    assert str(TL.zero(ctx)) == "0"
+    assert str(TL.zero(ctx, prec=3, exact=False)) == "0 + O(z^3)"
+
+
 def test_substitute_power_and_twist(ctx):
     s = TL(ctx, -1, (ctx.one, ctx.rational(5)), prec=2)
     t = s.substitute_power(3)
