@@ -95,11 +95,11 @@ class CyclotomicField:
         deg = self.degree = len(self.phi_coeffs) - 1
         self.zero = (0,) * deg + (1,)
         self.one = (1,) + (0,) * (deg - 1) + (1,)
-        # zeta^j in the power basis, as int rows (Phi_N is monic), for j up
-        # to 2*degree (products of basis elements never reach further).
+        # zeta^j in the power basis, as int rows (Phi_N is monic), for every
+        # j < N and up to 2*degree (products of basis elements reach no further).
         table = []
         cur = [1] + [0] * (deg - 1)
-        for _ in range(2 * deg + 1):
+        for _ in range(max(2 * deg + 1, order)):
             table.append(tuple(cur))
             top = cur[-1]
             cur = [0] + cur[:-1]
@@ -133,18 +133,7 @@ class CyclotomicField:
 
     def root(self, j):
         """zeta_N^j."""
-        j %= self.order
-        if j <= 2 * self.degree:
-            return self.power_table[j] + (1,)
-        # fold down by repeated squaring through mul
-        out = self.one
-        base = self.root(1)
-        while j:
-            if j & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            j >>= 1
-        return out
+        return self.power_table[j % self.order] + (1,)
 
     def add(self, a, b):
         deg = self.degree

@@ -252,7 +252,7 @@ def lattice_morphism_ok(g, src_weights, dst_weights):
             if e.coeffs:
                 if e.val < bound:
                     ok = False
-            elif not e.exact and e.prec <= bound:
+            elif e.prec <= bound:
                 raise PrecisionExhausted(
                     "cannot certify lattice preservation at this precision"
                 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .errors import (
     FieldExtensionRequired,
@@ -699,10 +699,7 @@ def _leading_split(g, ctil, p, m, f0):
     g0, rem = linalg.poly_divmod(ctx, [c.coeff(0) for c in ctil], f0)
     # both callers pass a divisor: the top segment or one orbit's factor
     assert len(rem) == 1 and rem[0].is_zero(), "factor does not divide the leading form"
-    prec = min(
-        int(c.eff_prec()) if c.eff_prec() != float("inf") else 10 ** 6 for c in ctil
-    )
-    prec = min(prec, max(8, DEFAULT_PRECISION * p))
+    prec = min(min(c.prec for c in ctil), max(8, DEFAULT_PRECISION * p))
     factors = [
         [_descend_series(ctx, c.shift(-m * i), p) for i, c in enumerate(lifted)]
         for lifted in hensel_split(ctx, ctil, f0, g0, prec)
@@ -711,24 +708,13 @@ def _leading_split(g, ctil, p, m, f0):
 
 
 def _descend_series(ctx, c, phat):
-    if phat == 1:
-        return c
-    coeffs = []
-    if c.coeffs:
-        if c.val % phat != 0:
-            raise NotAdmissible("factor does not descend (valuation)")
-        for i, x in enumerate(c.coeffs):
-            if (i % phat) == 0:
-                coeffs.append(x)
-            elif not x.is_zero():
-                raise NotAdmissible("factor does not descend (mixed exponents)")
-        return TruncatedLaurent(
-            ctx, c.val // phat, coeffs,
-            prec=None if c.exact else -(-c.prec // phat), exact=c.exact,
-        )
-    if c.exact:
-        return TruncatedLaurent.zero(ctx)
-    return TruncatedLaurent.zero(ctx, prec=-(-c.prec // phat), exact=False)
+    if c.val % phat != 0:
+        raise NotAdmissible("factor does not descend (valuation)")
+    if any(not x.is_zero() for i, x in enumerate(c.coeffs) if i % phat):
+        raise NotAdmissible("factor does not descend (mixed exponents)")
+    # known mod z^prec descends to known mod w^ceil(prec / phat)
+    prec = c.prec if c.prec == inf else -(-c.prec // phat)
+    return TruncatedLaurent(ctx, c.val // phat, c.coeffs[::phat], prec)
 
 
 # ----------------------------------------------------------------------
@@ -991,7 +977,7 @@ def _recognize_block(g, cp, p, m, label):
     # already pinned by the weights and the slope certificate
     _, model_theta = realize_block(ctx, block)
     cp_b = charpoly(model_theta)
-    bound = min(c.eff_prec() for c in cp)
+    bound = min(c.prec for c in cp)
     bound = min(bound, recommended_precision(p, m, weights_up))
     for cg, cb in zip(cp, cp_b):
         if not cg.agrees_with(cb, prec=bound):

@@ -74,7 +74,7 @@ class LaurentMatrix:
     # -- simple views --
 
     def precision(self):
-        return min((e.eff_prec() for row in self.entries for e in row), default=math.inf)
+        return min((e.prec for row in self.entries for e in row), default=math.inf)
 
     def min_valuation(self):
         vals = [e.val for row in self.entries for e in row if e.coeffs]
@@ -190,7 +190,7 @@ def _eliminate(rows, ncols):
                 if e.coeffs:
                     if best is None or e.val < best[0]:
                         best = (e.val, i, j)
-                elif not e.exact and e.prec < unknown:
+                elif e.prec < unknown:
                     unknown = e.prec
         if best is None:
             return pivots, unknown < math.inf, undercut
@@ -376,7 +376,7 @@ def newton_polygon(coeffs):
         e = coeffs[i]
         if e.coeffs:
             pts.append((i, Fraction(e.val)))
-        elif not e.exact:
+        elif e.prec != math.inf:
             unknown.append((i, Fraction(e.prec)))
         # exact zero in the middle: genuinely +inf, never on the lower hull
     if not pts or pts[0][0] != 0:

@@ -1,12 +1,13 @@
 """Precision-tracked Laurent series in one local coordinate.
 
 A TruncatedLaurent is a finite window of coefficients c_v, ..., c_{prec-1}
-with the series known modulo z^prec.  Every operation computes the exact
+with the series known modulo z^prec, with prec an int, or math.inf for a
+series that is exactly its finite sum.  Every operation computes the exact
 guaranteed precision of its output; nothing is ever rounded.
 
-Structural zeros matter: a series may be *exactly* a finite sum (exact=True,
-known to all orders), which is different from being zero to the working
-precision.  Certification logic downstream relies on the distinction.
+Structural zeros matter: an exact zero (prec infinite) is different from
+being zero to the working precision.  Certification logic downstream relies
+on the distinction.
 """
 
 from __future__ import annotations
@@ -21,69 +22,57 @@ DEFAULT_PRECISION = 24
 
 
 class TruncatedLaurent:
-    __slots__ = ("ctx", "val", "coeffs", "prec", "exact")
+    __slots__ = ("ctx", "val", "coeffs", "prec")
 
-    def __init__(self, ctx, val, coeffs, prec=None, exact=False):
+    def __init__(self, ctx, val, coeffs, prec=math.inf):
         self.ctx = ctx
         coeffs = list(coeffs)
         # strip leading zeros (they only shift the valuation)
         while coeffs and coeffs[0].is_zero():
             coeffs.pop(0)
             val += 1
-        if exact:
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
-            prec = None
-        else:
-            if prec is None:
-                raise InputError("non-exact series needs an explicit precision")
+        if prec != math.inf:
             coeffs = coeffs[: max(0, prec - val)]
-            while coeffs and coeffs[-1].is_zero():
-                coeffs.pop()
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
         if not coeffs:
             val = 0
         self.val = val
         self.coeffs = tuple(coeffs)
         self.prec = prec
-        self.exact = exact
 
     # -- constructors --
 
     @classmethod
-    def zero(cls, ctx, prec=None, exact=True):
-        if exact:
-            return cls(ctx, 0, (), exact=True)
-        return cls(ctx, 0, (), prec=prec)
+    def zero(cls, ctx, prec=math.inf):
+        return cls(ctx, 0, (), prec)
 
     @classmethod
     def from_scalar(cls, c, shift=0):
-        return cls(c.ctx, shift, (c,), exact=True)
+        return cls(c.ctx, shift, (c,))
 
     @classmethod
     def monomial(cls, ctx, coeff, exponent):
-        return cls(ctx, exponent, (coeff,), exact=True)
+        return cls(ctx, exponent, (coeff,))
 
     # -- views --
-
-    def eff_prec(self):
-        return math.inf if self.exact else self.prec
 
     def is_zero(self):
         """Zero as far as we know (exact zero or zero to precision)."""
         return not self.coeffs
 
     def is_exact_zero(self):
-        return self.exact and not self.coeffs
+        return not self.coeffs and self.prec == math.inf
 
     def valuation(self):
         """Valuation; None for a zero-to-precision series, inf for exact zero."""
         if self.coeffs:
             return self.val
-        return math.inf if self.exact else None
+        return math.inf if self.prec == math.inf else None
 
     def coeff(self, i):
         """Coefficient of z^i; raises if i is beyond the known precision."""
-        if not self.exact and i >= self.prec:
+        if i >= self.prec:
             raise PrecisionExhausted(f"coefficient of z^{i} unknown (prec {self.prec})")
         return self._get(i)
 
@@ -95,23 +84,18 @@ class TruncatedLaurent:
 
     def __add__(self, other):
         self._align(other)
-        prec = min(self.eff_prec(), other.eff_prec())
+        prec = min(self.prec, other.prec)
         # a zero, exact or to precision, adds nothing but its precision
         if not self.coeffs:
             return other.truncate(prec)
         if not other.coeffs:
             return self.truncate(prec)
         lo = min(self.val, other.val)
-        hi_bound = prec if prec != math.inf else max(
+        hi = prec if prec != math.inf else max(
             self.val + len(self.coeffs), other.val + len(other.coeffs)
         )
-        out = []
-        for i in range(lo, int(hi_bound)):
-            out.append(self._get(i) + other._get(i))
-        exact = self.exact and other.exact
-        return TruncatedLaurent(
-            self.ctx, lo, out, prec=None if exact else int(prec), exact=exact
-        )
+        out = [self._get(i) + other._get(i) for i in range(lo, hi)]
+        return TruncatedLaurent(self.ctx, lo, out, prec)
 
     def _get(self, i):
         if self.coeffs and self.val <= i < self.val + len(self.coeffs):
@@ -119,9 +103,7 @@ class TruncatedLaurent:
         return self.ctx.zero
 
     def __neg__(self):
-        return TruncatedLaurent(
-            self.ctx, self.val, [-c for c in self.coeffs], prec=self.prec, exact=self.exact
-        )
+        return TruncatedLaurent(self.ctx, self.val, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,30 +113,20 @@ class TruncatedLaurent:
             # scalar multiple
             c = other if not isinstance(other, (int, Fraction)) else self.ctx.rational(other)
             return TruncatedLaurent(
-                self.ctx, self.val, [x * c for x in self.coeffs],
-                prec=self.prec, exact=self.exact,
+                self.ctx, self.val, [x * c for x in self.coeffs], self.prec
             )
         self._align(other)
-        if (not self.coeffs and self.exact) or (not other.coeffs and other.exact):
-            return TruncatedLaurent.zero(self.ctx)
         if not self.coeffs or not other.coeffs:
-            # zero to precision; result zero to the propagated precision.  A
-            # series zero modulo z^p has valuation at least p.
-            prec = min(
-                self.eff_prec() + (other.val if other.coeffs else other.prec),
-                other.eff_prec() + (self.val if self.coeffs else self.prec),
-            )
-            if prec == math.inf:
-                return TruncatedLaurent.zero(self.ctx)
-            return TruncatedLaurent.zero(self.ctx, prec=int(prec), exact=False)
-        prec = min(self.eff_prec() + other.val, other.eff_prec() + self.val)
-        exact = self.exact and other.exact
+            # a zero times anything is zero to the propagated precision: a
+            # series zero modulo z^p has valuation at least p (and an exact
+            # zero makes the product exact)
+            return TruncatedLaurent.zero(self.ctx, min(
+                self.prec + (other.val if other.coeffs else other.prec),
+                other.prec + (self.val if self.coeffs else self.prec),
+            ))
+        prec = min(self.prec + other.val, other.prec + self.val)
         lo = self.val + other.val
-        hi = (
-            self.val + len(self.coeffs) + other.val + len(other.coeffs) - 1
-            if exact
-            else int(prec)
-        )
+        hi = min(prec, self.val + len(self.coeffs) + other.val + len(other.coeffs) - 1)
         acc = [self.ctx.zero] * max(0, hi - lo)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -165,9 +137,7 @@ class TruncatedLaurent:
                     break
                 if not b.is_zero():
                     acc[k] = acc[k] + a * b
-        return TruncatedLaurent(
-            self.ctx, lo, acc, prec=None if exact else int(prec), exact=exact
-        )
+        return TruncatedLaurent(self.ctx, lo, acc, prec)
 
     __rmul__ = __mul__
 
@@ -180,19 +150,17 @@ class TruncatedLaurent:
         """
         if not self.coeffs:
             raise ZeroDivisionError("inversion of a (to-precision) zero series")
-        if self.exact and len(self.coeffs) == 1:
+        if self.prec != math.inf:
+            rel = self.prec - self.val
+            if prec is not None:
+                rel = min(rel, prec + self.val)
+        elif len(self.coeffs) == 1:
             return TruncatedLaurent.monomial(
                 self.ctx, self.coeffs[0].inverse(), -self.val
             )
-        rel = (
-            len(self.coeffs)
-            if self.exact
-            else self.prec - self.val
-        )
-        if prec is not None:
-            rel = max(rel, prec + self.val) if self.exact else min(rel, prec + self.val)
-        if self.exact and prec is None:
-            rel = max(rel, DEFAULT_PRECISION)
+        else:
+            rel = DEFAULT_PRECISION if prec is None else prec + self.val
+            rel = max(rel, len(self.coeffs))
         lead = self.coeffs[0]
         lead_inv = lead.inverse()
         # long division: b_0 = 1/c_0, b_n = -(1/c_0) * sum_{j>=1} c_j b_{n-j}
@@ -204,24 +172,16 @@ class TruncatedLaurent:
                 if not cj.is_zero():
                     s = s + cj * out[n - j]
             out.append(-(lead_inv * s))
-        return TruncatedLaurent(
-            self.ctx, -self.val, out, prec=-self.val + rel, exact=False
-        )
+        return TruncatedLaurent(self.ctx, -self.val, out, -self.val + rel)
 
     def shift(self, k):
         """Multiply by z^k."""
-        return TruncatedLaurent(
-            self.ctx, self.val + k, self.coeffs,
-            prec=None if self.exact else self.prec + k, exact=self.exact,
-        )
+        return TruncatedLaurent(self.ctx, self.val + k, self.coeffs, self.prec + k)
 
     def truncate(self, prec):
-        if prec == math.inf:
+        if prec >= self.prec:
             return self
-        prec = int(prec)
-        if not self.exact and prec >= self.prec:
-            return self
-        return TruncatedLaurent(self.ctx, self.val, self.coeffs, prec=prec, exact=False)
+        return TruncatedLaurent(self.ctx, self.val, self.coeffs, prec)
 
     def substitute_power(self, p):
         """z -> z^p (pull back along the degree-p covering)."""
@@ -232,8 +192,7 @@ class TruncatedLaurent:
             if i:
                 out.extend([self.ctx.zero] * (p - 1))
             out.append(c)
-        prec = None if self.exact else self.prec * p
-        return TruncatedLaurent(self.ctx, self.val * p, out, prec=prec, exact=self.exact)
+        return TruncatedLaurent(self.ctx, self.val * p, out, self.prec * p)
 
     def galois_twist(self, t):
         """z -> t z for a unit scalar t."""
@@ -242,27 +201,26 @@ class TruncatedLaurent:
         for c in self.coeffs:
             out.append(c * tp)
             tp = tp * t
-        return TruncatedLaurent(self.ctx, self.val, out, prec=self.prec, exact=self.exact)
+        return TruncatedLaurent(self.ctx, self.val, out, self.prec)
 
     # -- comparisons --
 
     def agrees_with(self, other, prec=None):
         """Equality of all coefficients up to the common known precision."""
         self._align(other)
-        bound = min(self.eff_prec(), other.eff_prec())
+        bound = min(self.prec, other.prec)
         if prec is not None:
             bound = min(bound, prec)
         if bound == math.inf:
             return self.val == other.val and self.coeffs == other.coeffs
         lo = min(self.val if self.coeffs else 0, other.val if other.coeffs else 0)
-        return all(self._get(i) == other._get(i) for i in range(lo, int(bound)))
+        return all(self._get(i) == other._get(i) for i in range(lo, bound))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
         return (
             self.ctx is other.ctx
-            and self.exact == other.exact
             and self.prec == other.prec
             and self.val == other.val
             and self.coeffs == other.coeffs
@@ -283,7 +241,7 @@ class TruncatedLaurent:
                 ze = "z" if e == 1 else f"z^{e}"
                 terms.append(ze if cs == "1" else f"{cs}*{ze}")
         body = " + ".join(terms) if terms else "0"
-        if self.exact:
+        if self.prec == math.inf:
             return body
         return f"{body} + O(z^{self.prec})"
 

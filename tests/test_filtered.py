@@ -234,8 +234,8 @@ def test_lattice_morphism_ok_is_the_levelwise_definition(ctx):
 def test_lattice_morphism_ok_certifies_each_zero_entry(ctx):
     # src -1/3 to dst 1/3 has bound ceil(2/3) = 1; a zero known below z^1
     # does not decide the entry, whatever the other entry says
-    undecided = TL.zero(ctx, prec=1, exact=False)
-    decided = TL.zero(ctx, prec=2, exact=False)
+    undecided = TL.zero(ctx, 1)
+    decided = TL.zero(ctx, 2)
     failing = TL.monomial(ctx, ctx.one, 0)  # bound 1 > valuation 0
     src, dst = [F(-1, 3)], [F(1, 3), F(1, 3)]
     for rows in ([[undecided]], [[failing], [undecided]], [[undecided], [failing]]):

@@ -484,7 +484,7 @@ def test_hensel_lift_is_the_factorization(seed, r1, r2):
     for k in range(len(coeffs)):
         prod = sum((Fs[i] * Gs[k - i] for i in range(max(0, k - r2), min(k, r1) + 1)),
                    TL.zero(ctx))
-        assert prod.eff_prec() >= prec and prod.agrees_with(coeffs[k], prec), k
+        assert prod.prec >= prec and prod.agrees_with(coeffs[k], prec), k
     nonzero = [n for n in range(prec)
                if any(not c.coeff(n).is_zero() for c in Fs + Gs)]
     assert nonzero[:2] == [0, 3] and len(nonzero) > 3
@@ -703,3 +703,19 @@ def test_orbit_split_matches_the_three_branch_reference(ctx):
         with pytest.raises(NotAdmissible) as got:
             higgs._orbit_groups_from_phi(ctx, phi, p, m)
         assert str(got.value) == str(want.value), (p, m)
+
+
+def test_descend_series_precision_rule(ctx):
+    """z -> w = z^3: an exact series descends exactly, one known mod z^5 is
+    known mod w^ceil(5/3) = w^2, and a zero keeps its kind."""
+    one, a, o = ctx.one, ctx.sym("a"), ctx.zero
+    cases = [
+        (TL(ctx, 3, (one, o, o, a)), TL(ctx, 1, (one, a))),
+        (TL(ctx, 0, (one, o, o, a), prec=5), TL(ctx, 0, (one, a), prec=2)),
+        (TL.zero(ctx), TL.zero(ctx)),
+        (TL.zero(ctx, 5), TL.zero(ctx, 2)),
+    ]
+    for up, down in cases:
+        assert higgs._descend_series(ctx, up, 3) == down, up
+    with pytest.raises(NotAdmissible, match=r"^factor does not descend \(mixed exponents\)$"):
+        higgs._descend_series(ctx, TL(ctx, 0, (one, one)), 3)

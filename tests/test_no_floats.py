@@ -1,23 +1,13 @@
 """nahmkit computes without floats.
 
 Every value is exact: integers, Fractions and cyclotomic scalars.  A float
-(or complex) literal or a `float(...)` call in the package fails here; the
-one exception is `float("inf")`, an unbounded precision, never rounded.
+(or complex) literal or a `float(...)` call in the package fails here.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nahmkit"
-
-
-def _is_inf(call):
-    return (
-        len(call.args) == 1
-        and not call.keywords
-        and isinstance(call.args[0], ast.Constant)
-        and call.args[0].value == "inf"
-    )
 
 
 def _float_sites(path):
@@ -29,7 +19,6 @@ def _float_sites(path):
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "float"
-            and not _is_inf(node)
         ):
             lines.add(node.lineno)
     return [f"{path.name}:{n}" for n in sorted(lines)]
@@ -43,4 +32,4 @@ def test_no_float_in_the_package():
 def test_the_guard_sees_floats(tmp_path):
     src = tmp_path / "probe.py"
     src.write_text('a = 1.0 / 3\nb = float(a)\nc = float("inf")\nd = 2j\n', encoding="utf-8")
-    assert _float_sites(src) == ["probe.py:1", "probe.py:2", "probe.py:4"]
+    assert _float_sites(src) == ["probe.py:1", "probe.py:2", "probe.py:3", "probe.py:4"]

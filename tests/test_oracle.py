@@ -245,7 +245,7 @@ def _matrix_sum_maps(complex_, w):
 
 
 def _entry_data(M):
-    return [[(e.val, e.coeffs, e.prec, e.exact) for e in row] for row in M.entries]
+    return [[(e.val, e.coeffs, e.prec) for e in row] for row in M.entries]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

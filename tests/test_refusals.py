@@ -90,8 +90,6 @@ CASES = [
      "matrix shape mismatch"),
     ("torus-lattices", lambda c: TorusPoint("T") + TorusPoint("T_dual"),
      "torus arithmetic across different lattices"),
-    ("series-precision", lambda c: TL(c, 0, (c.one,)),
-     "non-exact series needs an explicit precision"),
     ("series-sessions", lambda c: _one(c) + _one(example_context()),
      "series arithmetic across sessions"),
     ("block-tail", lambda c: _block(c, 2, 1, lead=c.one, tail=(c.one,)),

@@ -1,5 +1,6 @@
 """Truncated Laurent series: the arithmetic and precision contracts."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ def ctx():
 
 
 def test_geometric_series(ctx):
-    s = TL(ctx, 0, (ctx.one, ctx.rational(-1)), exact=True)  # 1 - z
+    s = TL(ctx, 0, (ctx.one, ctx.rational(-1)))  # 1 - z
     inv = series_arith(s, None, "invert", prec=4)
     assert inv.val == 0 and inv.prec == 4
     assert [c.as_fraction() for c in inv.coeffs] == [1, 1, 1, 1]
@@ -25,13 +26,13 @@ def test_monomial_product_exact(ctx):
     a = TL.monomial(ctx, ctx.one, -1)
     b = TL.monomial(ctx, ctx.one, 1)
     prod = series_arith(a, b, "mul")
-    assert prod.exact and prod.val == 0 and len(prod.coeffs) == 1
+    assert prod.prec == math.inf and prod.val == 0 and len(prod.coeffs) == 1
     assert prod.coeffs[0] == ctx.one
 
 
 def test_invert_two_plus_z(ctx):
     # long-division oracle by hand: 1/2 - z/4 + z^2/8
-    s = TL(ctx, 0, (ctx.rational(2), ctx.one), exact=True)
+    s = TL(ctx, 0, (ctx.rational(2), ctx.one))
     inv = s.invert(prec=3)
     expected = [Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]
     assert [c.as_fraction() for c in inv.coeffs] == expected
@@ -55,17 +56,17 @@ def test_mul_precision_rule(ctx):
 
 def test_product_of_zeros_to_negative_precision(ctx):
     # O(z^-2) * O(z^-2) is only known modulo z^-4
-    a = TL.zero(ctx, prec=-2, exact=False)
+    a = TL.zero(ctx, -2)
     p = a * a
-    assert p.is_zero() and not p.exact and p.prec == -4
+    assert p.is_zero() and p.prec == -4
     # a factor zero to a positive precision p has valuation at least p
-    b = TL.zero(ctx, prec=3, exact=False)
+    b = TL.zero(ctx, 3)
     assert (a * b).prec == 1 and (b * b).prec == 6
 
 
 def test_zero_distinction(ctx):
     exact0 = TL.zero(ctx)
-    prec0 = TL.zero(ctx, prec=5, exact=False)
+    prec0 = TL.zero(ctx, 5)
     assert exact0.is_exact_zero() and not prec0.is_exact_zero()
     assert prec0.is_zero()
     with pytest.raises(ZeroDivisionError):
@@ -81,12 +82,12 @@ def test_coeff_beyond_precision_raises(ctx):
 
 def test_str_forms(ctx):
     a, one = ctx.sym("a"), ctx.one
-    exact = TL(ctx, -1, (one, ctx.zero, ctx.rational(2), a + one), exact=True)
+    exact = TL(ctx, -1, (one, ctx.zero, ctx.rational(2), a + one))
     assert str(exact) == "z^-1 + 2*z + (a + 1)*z^2"
     known = TL(ctx, 0, (ctx.rational(Fraction(-1, 3)), a), prec=4)
     assert str(known) == "(-1/3) + a*z + O(z^4)"
     assert str(TL.zero(ctx)) == "0"
-    assert str(TL.zero(ctx, prec=3, exact=False)) == "0 + O(z^3)"
+    assert str(TL.zero(ctx, 3)) == "0 + O(z^3)"
 
 
 def test_substitute_power_and_twist(ctx):
@@ -100,21 +101,21 @@ def test_substitute_power_and_twist(ctx):
 
 
 def test_addition_cancellation_shifts_valuation(ctx):
-    a = TL(ctx, 0, (ctx.one, ctx.one), exact=True)
-    b = TL(ctx, 0, (ctx.rational(-1), ctx.one), exact=True)
+    a = TL(ctx, 0, (ctx.one, ctx.one))
+    b = TL(ctx, 0, (ctx.rational(-1), ctx.one))
     s = a + b
     assert s.val == 1 and s.coeffs[0].as_fraction() == 2
 
 
 def test_adding_a_zero_to_precision_only_truncates(ctx):
-    s = TL(ctx, 1, (ctx.one, ctx.rational(2), ctx.rational(3)), exact=True)
+    s = TL(ctx, 1, (ctx.one, ctx.rational(2), ctx.rational(3)))
     for p, kept in ((2, 1), (3, 2), (9, 3), (0, 0)):
-        z = TL.zero(ctx, prec=p, exact=False)
+        z = TL.zero(ctx, p)
         for out in (s + z, z + s, s - z, z - s):
-            assert not out.exact and out.prec == p
+            assert out.prec == p
             assert [abs(c.as_fraction()) for c in out.coeffs] == [1, 2, 3][:kept]
     # two zeros keep the lower precision
-    a, b = TL.zero(ctx, prec=2, exact=False), TL.zero(ctx, prec=5, exact=False)
+    a, b = TL.zero(ctx, 2), TL.zero(ctx, 5)
     assert (a + b).prec == (b - a).prec == 2 and (a + b).is_zero()
 
 
@@ -127,7 +128,7 @@ def test_series_ring_laws_randomized(ctx):
         val = rng.randint(-2, 2)
         coeffs = [ctx.rational(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))]
         if rng.random() < 0.5:
-            return TL(ctx, val, coeffs, exact=True)
+            return TL(ctx, val, coeffs)
         return TL(ctx, val, coeffs, prec=val + rng.randint(2, 5))
 
     for _ in range(60):
@@ -135,3 +136,15 @@ def test_series_ring_laws_randomized(ctx):
         assert ((a + b) + c).agrees_with(a + (b + c))
         assert ((a * b) * c).agrees_with(a * (b * c))
         assert (a * (b + c)).agrees_with(a * b + a * c)
+
+
+def test_equality_compares_session_precision_and_coefficients(ctx):
+    one, two = ctx.one, ctx.rational(2)
+    exact = TL(ctx, 0, (one, two))
+    known = TL(ctx, 0, (one, two), prec=3)
+    assert exact != known and known != exact
+    assert exact == TL(ctx, 0, (one, two)) and known == TL(ctx, 0, (one, two), prec=3)
+    assert TL.zero(ctx) != TL.zero(ctx, 3)
+    other = FieldContext(M=12, symbols=("a",))
+    assert TL(other, 0, (other.one, other.rational(2))) != exact
+    assert (exact == 1) is False and (exact == "1 + 2*z") is False
