@@ -16,9 +16,10 @@ theta = A dz/z in the compatible frame.  The slope and the type
 decompositions share one leading-form split: on the p-fold cover with
 T = s^{-m} S the characteristic polynomial becomes integral, a coprime
 factorization f0 * g0 of its leading form is Hensel-lifted, and the germ is
-split along the two lifted factors by kernels.  The slope split takes f0
-from the top segment of the Newton polygon, the type split from one Galois
-orbit of the residue.  Each part is certified by slope_check once and
+split along the two lifted factors by kernels; theta on each part is read
+off by one solve in the part's frame.  The slope split takes f0 from the
+top segment of the Newton polygon, the type split from one Galois orbit of
+the residue.  Each part is certified by slope_check once and
 carries its characteristic polynomial on to the next step.  Failures are
 honest errors (NotAdmissible / FieldExtensionRequired / PrecisionExhausted),
 never guesses.
@@ -42,9 +43,9 @@ from .filtered import FilteredLattice, frame_order, lattice_morphism_ok, normali
 from .lmatrix import (
     LaurentMatrix,
     charpoly,
-    invert_matrix,
     kernel_basis,
     newton_polygon,
+    solve,
 )
 from .series import DEFAULT_PRECISION, TruncatedLaurent
 
@@ -616,7 +617,10 @@ def _split_by_factors(g, factor_list):
     """Split a matrix germ along pairwise-coprime charpoly factors.
 
     factor_list: list of descending TruncatedLaurent coefficient lists.
-    Returns list of sub-germs (matrix form) in the same order.
+    Returns list of sub-germs (matrix form) in the same order.  Each part
+    is the kernel of F(A) for its factor F; A commutes with F(A), so the
+    kernel is A-invariant and theta restricted to it is the one solution
+    B of S B = A S in the part's frame S.
     """
     ctx = g.ctx
     A = g.theta
@@ -630,9 +634,7 @@ def _split_by_factors(g, factor_list):
         raise NotAdmissible(
             "characteristic factors do not split the germ at this precision"
         )
-    cols = []
-    sizes = []
-    sub_weights = []
+    out = []
     for vecs in parts:
         ws, frame_cols = compatible_subframe(ctx, list(g.lattice.weights), vecs)
         norm = []
@@ -642,33 +644,12 @@ def _split_by_factors(g, factor_list):
             norm.append(w0)
             norm_cols.append([e.shift(shift) for e in colv])
         order = frame_order(norm)
-        sub_weights.append([norm[i] for i in order])
-        cols.extend([norm_cols[i] for i in order])
-        sizes.append(len(norm_cols))
-    S = LaurentMatrix(ctx, [[cols[j][i] for j in range(r)] for i in range(r)])
-    Sinv = invert_matrix(S)
-    Ap = Sinv * A * S
-    # off-diagonal blocks must vanish (to precision); anything real is a bug
-    pos_i = 0
-    for bi, szi in enumerate(sizes):
-        pos_j = 0
-        for bj, szj in enumerate(sizes):
-            if bi != bj:
-                for i in range(szi):
-                    for j in range(szj):
-                        if Ap.entries[pos_i + i][pos_j + j].coeffs:
-                            raise NotAdmissible(
-                                "splitting frame did not block-diagonalize theta"
-                            )
-            pos_j += szj
-        pos_i += szi
-    out = []
-    pos = 0
-    for ws, sz in zip(sub_weights, sizes):
-        idxs = list(range(pos, pos + sz))
-        pos += sz
-        sub_lat = FilteredLattice(ctx, ws, level=0)
-        out.append(HiggsGerm.from_matrix(sub_lat, Ap.submatrix(idxs, idxs), g.coord))
+        S = LaurentMatrix(ctx, [[norm_cols[j][i] for j in order] for i in range(r)])
+        B = solve(S, A * S)
+        if B is None:
+            raise NotAdmissible("splitting frame did not block-diagonalize theta")
+        sub_lat = FilteredLattice(ctx, [norm[i] for i in order], level=0)
+        out.append(HiggsGerm.from_matrix(sub_lat, B, g.coord))
     return out
 
 

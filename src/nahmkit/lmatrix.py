@@ -2,10 +2,10 @@
 
 Provides the exact kernels every higher layer leans on: arithmetic, and one
 forward elimination over the series field that always pivots on an entry of
-least valuation, with one back-substitution.  Determinants, inverses,
-saturated kernels and the Smith invariants over the power-series ring
-(powers of z; the Smith form returns only these, without transforms) are
-all read off that elimination.  Newton polygons complete the layer.
+least valuation, with one back-substitution.  Determinants, solutions of
+m X = b, saturated kernels and the Smith invariants over the power-series
+ring (powers of z; the Smith form returns only these, without transforms)
+are all read off that elimination.  Newton polygons complete the layer.
 Characteristic polynomials come from linalg.charpoly, the one
 division-free (Berkowitz) routine, which serves series entries as it
 serves Scalar ones.
@@ -253,18 +253,24 @@ def _back_substitute(rows, pivots, rhs):
     return out
 
 
-def invert_matrix(m):
-    """Inverse over the Laurent-series field, precision tracked."""
-    if m.rows != m.cols:
-        raise InputError("inverse of non-square matrix")
-    n = m.rows
-    ident = LaurentMatrix.identity(m.ctx, n).entries
-    rows = [list(row) + list(e) for row, e in zip(m.entries, ident)]
-    pivots = _certain_pivots(rows, n)
-    if len(pivots) < n:
-        raise InputError("matrix not invertible over the series field")
-    cols = _back_substitute(rows, pivots, range(n, 2 * n))
-    return LaurentMatrix(m.ctx, [[x[i] for x in cols] for i in range(n)])
+def solve(m, rhs):
+    """X with m X = rhs over the Laurent-series field, precision tracked.
+
+    m must have full column rank.  Returns None when a column of rhs is not
+    in the span of m's columns to the working precision: after elimination
+    it keeps a known coefficient in a row without a pivot."""
+    if rhs.rows != m.rows:
+        raise InputError("matrix shape mismatch")
+    k = m.cols
+    rows = [list(a) + list(b) for a, b in zip(m.entries, rhs.entries)]
+    pivots = _certain_pivots(rows, k)
+    if len(pivots) < k:
+        raise InputError("matrix not of full column rank over the series field")
+    pivot_rows = {p[0] for p in pivots}
+    if any(e.coeffs for i, row in enumerate(rows) if i not in pivot_rows for e in row[k:]):
+        return None
+    cols = _back_substitute(rows, pivots, range(k, k + rhs.cols))
+    return LaurentMatrix(m.ctx, [[x[i] for x in cols] for i in range(k)])
 
 
 def determinant(m):

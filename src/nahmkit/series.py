@@ -91,9 +91,7 @@ class TruncatedLaurent:
         if not other.coeffs:
             return self.truncate(prec)
         lo = min(self.val, other.val)
-        hi = prec if prec != math.inf else max(
-            self.val + len(self.coeffs), other.val + len(other.coeffs)
-        )
+        hi = min(prec, max(self.val + len(self.coeffs), other.val + len(other.coeffs)))
         out = [self._get(i) + other._get(i) for i in range(lo, hi)]
         return TruncatedLaurent(self.ctx, lo, out, prec)
 

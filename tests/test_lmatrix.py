@@ -1,5 +1,5 @@
-"""Laurent matrices: Smith form, Newton polygon, kernels, inverses, and the
-tracked precision of the characteristic polynomial."""
+"""Laurent matrices: Smith form, Newton polygon, kernels, solutions of
+m X = b, and the tracked precision of the characteristic polynomial."""
 
 import itertools
 import math
@@ -10,17 +10,17 @@ from math import gcd
 import pytest
 
 from nahmkit import higgs, linalg
-from nahmkit.errors import PrecisionExhausted
+from nahmkit.errors import InputError, PrecisionExhausted
 from nahmkit.field import FieldContext
 from nahmkit.higgs import ElementaryBlock, HiggsGerm, goodness_decomposition, realize
 from nahmkit.lmatrix import (
     LaurentMatrix,
     charpoly,
     determinant,
-    invert_matrix,
     kernel_basis,
     newton_polygon,
     smith_normal_form,
+    solve,
 )
 from nahmkit.series import TruncatedLaurent as TL
 
@@ -144,7 +144,7 @@ def test_charpoly_matches_newton(ctx):
 def test_invert_and_kernel(ctx):
     z = mono(ctx, ctx.one, 1)
     m = LaurentMatrix(ctx, [[one(ctx), z], [TL.zero(ctx), one(ctx)]])
-    inv = invert_matrix(m)
+    inv = solve(m, LaurentMatrix.identity(ctx, 2))
     prod = inv * m
     assert prod.agrees_with(LaurentMatrix.identity(ctx, 2))
     k = LaurentMatrix(ctx, [[one(ctx), z], [z, z * z]])
@@ -153,6 +153,27 @@ def test_invert_and_kernel(ctx):
     v = basis[0]
     image = [k.entries[i][0] * v[0] + k.entries[i][1] * v[1] for i in range(2)]
     assert all(not e.coeffs for e in image)
+
+
+def test_solve_full_column_rank(ctx):
+    """A 3 x 2 m of full column rank: a consistent rhs gives the exact X, an
+    inconsistent one None; a rank-deficient m, or an rhs of another
+    height, is refused."""
+    z = mono(ctx, ctx.one, 1)
+    zero = TL.zero(ctx)
+    m = LaurentMatrix(ctx, [[one(ctx), z], [zero, one(ctx)], [z, zero]])
+    x = LaurentMatrix(ctx, [[z, one(ctx)], [one(ctx), z * z]])
+    rhs = m * x
+    sol = solve(m, rhs)
+    assert sol.entries == x.entries and all(e.prec == math.inf for row in sol.entries for e in row)
+    assert (m * sol).agrees_with(rhs)
+    # e_3 is not in the span of m's columns
+    assert solve(m, LaurentMatrix(ctx, [[zero], [zero], [one(ctx)]])) is None
+    deficient = LaurentMatrix(ctx, [[one(ctx), z], [z, z * z], [zero, zero]])
+    with pytest.raises(InputError, match="full column rank"):
+        solve(deficient, rhs)
+    with pytest.raises(InputError, match="shape mismatch"):
+        solve(m, x)
 
 
 def _faddeev_leverrier(m):
@@ -420,7 +441,7 @@ def test_inverse_on_both_sides(tctx):
         # known modulo z^12 at the exact input, at least to z^0 at the
         # truncated one, so that the unit diagonal is always compared
         for a, floor in ((m, 12), (m.truncate(m.min_valuation() + 14), 1)):
-            inv = invert_matrix(a)
+            inv = solve(a, ident)
             for prod in (a * inv, inv * a):
                 assert prod.agrees_with(ident) and prod.precision() >= floor
 
@@ -453,7 +474,8 @@ def test_a_leftover_known_only_to_precision_is_never_used(tctx):
     z5 = TL.monomial(tctx, tctx.one, 5)
     mixed = LaurentMatrix(tctx, [[one_, one_], [TL.zero(tctx, 3), z5]])
     for m in (ragged, cancelled, mixed):
-        for routine in (determinant, invert_matrix, smith_normal_form):
+        for routine in (determinant, lambda a: solve(a, LaurentMatrix.identity(tctx, 2)),
+                        smith_normal_form):
             with pytest.raises(PrecisionExhausted):
                 routine(m)
         basis, certified = kernel_basis(m)
@@ -491,3 +513,52 @@ def test_an_undercut_leaves_the_determinant_and_ties_alone(tctx):
     assert [e.val for e in smith_normal_form(tie)] == [3]
     basis, certified = kernel_basis(tie)
     assert len(basis) == 1 and certified
+
+
+def _check_agrees_with_polynomial(e, coeffs):
+    """e is known modulo z^prec; it agrees with the polynomial below that."""
+    assert e.val >= 0 and e.prec >= 16
+    assert all(
+        e.coeff(i).as_fraction() == (coeffs[i] if i < len(coeffs) else 0)
+        for i in range(min(e.prec, len(coeffs) + 8))
+    )
+
+
+def test_determinant_and_solve_against_sympy(tctx):
+    """A second route for determinant and solve: sympy's exact det() and
+    adjugate over Q[z], on seeded 2 x 2 and 3 x 3 polynomial matrices.
+    det(m) X = adj(m) b for the solution X of m X = b."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def to_sympy(cs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(cs))
+
+    def coeffs(expr):
+        poly = sympy.Poly(sympy.expand(expr), z)
+        return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+    def to_series(cs):
+        return TL(tctx, 0, [tctx.rational(c) for c in cs])
+
+    rng = random.Random(25)
+    checked = 0
+    while checked < 20:
+        n = 2 + checked % 2
+        fr = [[[Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(3)]
+               for _ in range(n)] for _ in range(n)]
+        b_fr = [[Fraction(rng.randint(-3, 3), rng.choice([1, 3])) for _ in range(3)]
+                for _ in range(n)]
+        sm = sympy.Matrix([[to_sympy(cs) for cs in row] for row in fr])
+        det_ref = sympy.expand(sm.det())
+        if det_ref == 0:
+            continue
+        m = LaurentMatrix(tctx, [[to_series(cs) for cs in row] for row in fr])
+        b = LaurentMatrix(tctx, [[to_series(cs)] for cs in b_fr])
+        det = determinant(m)
+        _check_agrees_with_polynomial(det, coeffs(det_ref))
+        adj_b = sm.adjugate() * sympy.Matrix([to_sympy(cs) for cs in b_fr])
+        scaled = solve(m, b) * det
+        for i in range(n):
+            _check_agrees_with_polynomial(scaled.entries[i][0], coeffs(adj_b[i]))
+        checked += 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nahmkit.errors import PrecisionExhausted
-from nahmkit.field import FieldContext
+from nahmkit.field import FieldContext, Scalar
 from nahmkit.series import TruncatedLaurent as TL, series_arith
 
 
@@ -117,6 +117,24 @@ def test_adding_a_zero_to_precision_only_truncates(ctx):
     # two zeros keep the lower precision
     a, b = TL.zero(ctx, 2), TL.zero(ctx, 5)
     assert (a + b).prec == (b - a).prec == 2 and (a + b).is_zero()
+
+
+def test_addition_stops_at_the_supports(ctx, monkeypatch):
+    """Past both supports every coefficient sum is zero + zero: the sum of
+    1 + O(z^40) and a z + O(z^40) computes two coefficients, not forty."""
+    calls = []
+    real = Scalar.__add__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Scalar, "__add__", counting)
+    a = ctx.sym("a")
+    s = TL(ctx, 0, (ctx.one,), 40) + TL(ctx, 1, (a,), 40)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert s == TL(ctx, 0, (ctx.one, a), 40)
 
 
 def test_series_ring_laws_randomized(ctx):
