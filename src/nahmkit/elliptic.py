@@ -18,7 +18,7 @@ when the block is, so that scan dualizes the exceptional blocks only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg
@@ -161,11 +161,15 @@ def dual_block(block):
     if block.m > 0:
         rad = block.radicand * ctx.rational((-1) ** block.p)
     tail = tuple(-a for a in block.tail)
-    return ElementaryBlock.make(
+    dual = ElementaryBlock.make(
         ctx, block.p, block.m, alpha=-block.alpha, weights=ws, degrees=ds,
-        radicand=rad, lead=lead, tail=tail, nilp=nilp, twists=twists,
+        radicand=rad, lead=lead, tail=tail, twists=twists,
         injection=block.injection,
     )
+    # the transposed nilpotent part is set past make's filtration check:
+    # where a weight of 0 meets one below 0, the dual frame puts a factor
+    # z on the entry, which a canonical block cannot record
+    return replace(dual, nilp=nilp)
 
 
 def dual_data(data):

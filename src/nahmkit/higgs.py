@@ -118,8 +118,17 @@ class ElementaryBlock:
                 raise InputError("nilpotent part has wrong shape")
             for i in range(k):
                 for j in range(k):
-                    if j <= i and not nilp[i][j].is_zero():
+                    if nilp[i][j].is_zero():
+                        continue
+                    if j <= i:
                         raise InputError("nilpotent part must be strictly upper")
+                    # N sends line j into line i: theta preserves the
+                    # filtration only if ws[i] <= ws[j].  An entry into a
+                    # strictly lower weight is kept: it preserves the
+                    # filtration and vanishes on the graded pieces.
+                    if ws[i] > ws[j]:
+                        raise InputError(
+                            "nilpotent part maps a line into a line of higher weight")
             nilp = tuple(tuple(r) for r in nilp)
         if twists and len(twists) != k:
             raise InputError("twists do not match the upstairs rank")

@@ -30,7 +30,7 @@ injection rule, and the local operator refuses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
 
@@ -181,12 +181,16 @@ def _transform_block(block, p, shift, factor):
             degrees=block.degrees, nilp=block.nilp, twists=block.twists,
         )
     rad = block.radicand * ctx.rational(factor)
-    return ElementaryBlock.make(
+    out = ElementaryBlock.make(
         ctx, p, block.m, alpha=block.alpha,
         weights=tuple(c + shift for c in block.weights), degrees=block.degrees,
         radicand=rad, lead=_scalar_nth_root(rad, p), tail=block.tail,
-        nilp=block.nilp, twists=block.twists,
+        twists=block.twists,
     )
+    # the nilpotent part rides along past make's filtration check: where
+    # one line's weight wraps and another's does not, the new frame puts a
+    # power of z on the entry, which a canonical block cannot record
+    return replace(out, nilp=block.nilp)
 
 
 def local_nahm_0_inf(germ):

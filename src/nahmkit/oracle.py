@@ -3,22 +3,36 @@
 Three checks, each proving one thing about build_local_complex:
 
 * part_maps: theta + w dzeta preserves the lattices of each part;
-* truncated_cokernel: the truncated model of that map is injective, and
-  stays so under N -> N + 4 (its cokernel is then the bookkeeping index by
-  counting dimensions);
+* truncated_cokernel: the map of each part is injective on its truncated
+  model at every order, so the model's cokernel is the bookkeeping index
+  by counting dimensions;
 * degree_crosscheck: the bookkeeping's generator exponents, re-derived
   from the realized lattice by rules of its own, and on an exceptional part
   the index, from the colength of the lattice join by Smith form.
 
-build_truncation_model makes the models of both certificates of a rank.
-coefficient_table lists the nonzero series coefficients of the maps once;
-their residues mod p (field.ResidueMap, each coefficient mapped once) fill
-the models at N and N + 4, whose rank linalg.rank_mod_p takes on integers.
-Only when that rank falls short of full column rank, or a coefficient has
-no residue, is the model of the Scalars made and reduced by linalg.rref.
-Each part is realized once in part_maps; degree_crosscheck reads the
-other parts' weights off higgs.realized_lattice and realizes only an
-exceptional part again, for its theta.
+On a non-exceptional part one r x r rank decides.  Let M be the part's
+map, n0 and n1 its C0 and C1 generator exponents, and M' = z^-n1 M z^n0
+the map in the generator bases.  The floor check of part_maps puts M' in
+Mat_r(O).  If its constant term M'_0 (entry (i, j) the coefficient of
+z^(n1_i - n0_j) of M[i][j]) has rank r, then det M' is a unit and M' is in
+GL_r(O): M maps C0 onto C1.  The weights lie in (-1, 0], so n0 >= 0 >= n1;
+a nonzero x in the model at any order then has a lowest coefficient
+vector x_d with d below every codomain cutoff, and M'_0 x_d != 0 survives
+the truncation, so the model is injective at every N.  A rank below r is a
+VerdictFailure: the map is not a lattice isomorphism.
+
+An exceptional part (tame, zero residue) is not onto its C1 (det M has
+valuation 0 while its index is positive), so it keeps two truncated
+models, at N and N + 4, built over the exceptional parts alone.
+build_truncation_model makes them.  coefficient_table lists the nonzero
+series coefficients of the maps once; their residues mod p
+(field.ResidueMap, each coefficient mapped once) fill the models, whose
+rank linalg.rank_mod_p takes on integers.  Only when that rank falls short
+of full column rank, or a coefficient has no residue, is the model of the
+Scalars made and reduced by linalg.rref.  The r x r rank is taken the
+same way.  Each part is realized once in part_maps; degree_crosscheck
+reads the other parts' weights off higgs.realized_lattice and realizes
+only an exceptional part again, for its theta.
 
 Any disagreement with the weight bookkeeping is a hard failure, never
 smoothed over.
@@ -26,7 +40,7 @@ smoothed over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, floor
 
 from .errors import VerdictFailure
@@ -164,19 +178,43 @@ def _model_rank(complex_, table, residues, p, N):
     return model, len(rref(model.matrix)[1])
 
 
+def _lattice_isomorphism(M, part, residues):
+    """Whether the constant term M'_0 of z^-n1 M z^n0 has rank r.  Its rank
+    mod p (linalg.rank_mod_p on the residues) certifies a full rank; a
+    lower one, or an entry without a residue, goes to rref over the
+    session field."""
+    n0, n1 = part.c0_exponents, part.c1_exponents
+    rows = []
+    for i, row in enumerate(M.entries):
+        terms = ((j, e.coeff(n1[i] - n0[j])) for j, e in enumerate(row))
+        rows.append({j: cf for j, cf in terms if not cf.is_zero()})
+    images = [{j: residues(cf) for j, cf in row.items()} for row in rows]
+    if all(None not in row.values() for row in images):
+        sparse = [{j: v for j, v in row.items() if v} for row in images]
+        if rank_mod_p(sparse, residues.p) == len(rows):
+            return True
+    return len(rref(rows)[1]) == len(rows)
+
+
 def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     """Exact kernel/cokernel dimensions of the truncated complex.
 
     twist is (w, L): w a session scalar (symbolic for the generic fiber),
     L a torus twist class or None.  L is not read: the maps and the models
-    depend on w alone.  Returns (dim ker, dim coker, certified);
-    certification means stability under N -> N + 4, or for a module kernel
-    that kernel_basis certified it.
+    depend on w alone.  Returns (dim ker, dim coker, certified).
 
-    What this proves is that the truncated model is injective and stays so
-    under N -> N + 4.  The model has sum(T - n1) rows and sum(T - n0)
-    columns, so coker - ker is the bookkeeping index sum(n0) - sum(n1)
-    whatever the map: with ker == 0, coker equals the index by counting.
+    A truncated model has sum(T - n1) rows and sum(T - n0) columns, so
+    coker - ker is the bookkeeping index sum(n0) - sum(n1) whatever the
+    map: with ker == 0, coker equals the index by counting.  What is proved
+    is that ker == 0.  On a non-exceptional part the floor check of
+    part_maps puts M' = z^-n1 M z^n0 in Mat_r(O); rank M'_0 = r puts M' in
+    GL_r(O); and n0 >= 0 >= n1 makes the model injective at every N (see
+    the module docstring).  That part gives (0, its index), and a rank
+    below r is a VerdictFailure.  The exceptional parts, and any part whose
+    exponents are not so ordered, keep the models at N and N + 4, built
+    over those parts alone, and certification means their stability under
+    N -> N + 4.  A module kernel is reported alone, certified when
+    kernel_basis certified it.
     """
     w, _L = twist
     ctx = complex_.germ.ctx
@@ -190,14 +228,27 @@ def truncated_cokernel(complex_, twist, N=DEFAULT_PRECISION):
     if module_kernel:
         # the module kernel does not depend on N
         return module_kernel, None, certified
-    table = coefficient_table(maps)
+    decided = 0
+    rest = []
+    for part, M in zip(complex_.parts, maps):
+        n0, n1 = part.c0_exponents, part.c1_exponents
+        if part.block.is_exceptional() or min(n0) < max(n1):
+            rest.append((part, M))
+        elif _lattice_isomorphism(M, part, ctx.residues):
+            decided += part.index
+        else:
+            raise VerdictFailure("complex map is not a lattice isomorphism C0 -> C1")
+    if not rest:
+        return 0, decided, True
+    models = replace(complex_, parts=tuple(part for part, _ in rest))
+    table = coefficient_table([M for _, M in rest])
     residues = _residue_table(ctx.residues, table)
     out = []
     for n in (N, N + 4):
-        model, rank = _model_rank(complex_, table, residues, ctx.residues.p, n)
+        model, rank = _model_rank(models, table, residues, ctx.residues.p, n)
         out.append((model.domain_dim - rank, model.codomain_dim - rank))
     ker, coker = out[0]
-    return ker, coker, out[0] == out[1]
+    return ker, decided + coker, out[0] == out[1]
 
 
 def degree_crosscheck(data, _w, _N=DEFAULT_PRECISION):

@@ -272,7 +272,9 @@ def _random_block(ctx, rng):
     degrees = tuple(rng.randint(-1, 1) for _ in range(k))
     nilp = ()
     if k > 1 and rng.random() < 0.6:
-        # Jordan-aligned: the nonzero columns are independent
+        # Jordan-aligned: the nonzero columns are independent; ascending
+        # weights, so that each line maps into one of no higher weight
+        weights = tuple(sorted(weights))
         rows = [[ctx.zero] * k for _ in range(k)]
         for i in range(k - 1):
             rows[i][i + 1] = ctx.rational(rng.choice((1, 2, -1)))

@@ -589,7 +589,8 @@ def _blocks_of_every_shape(ctx, rng):
                 yield ElementaryBlock.make(ctx, p, m, weights=weights, tail=tail,
                                            lead=ctx.rational(rng.randint(1, 3)))
     for k in (2, 3):
-        weights = [F(-rng.randint(0, 5), 6) for _ in range(k)]
+        # ascending, so that line i + 1 maps into one of no higher weight
+        weights = sorted(F(-rng.randint(0, 5), 6) for _ in range(k))
         nilp = [[ctx.one if j == i + 1 else ctx.zero for j in range(k)] for i in range(k)]
         yield ElementaryBlock.make(ctx, 1, 0, weights=weights, nilp=nilp)
 

@@ -1,11 +1,14 @@
 """The one Gaussian elimination, the one charpoly and the polynomial
 toolkit over the session field, against sympy.
 
-linalg.rref serves rank and kernel, and the oracle's rank of a
-truncated model where the rank mod p (linalg.rank_mod_p, on the residues
-of the model's coefficients) does not certify full column rank; each is compared with sympy's exact rational linear
-algebra on seeded random matrices, and so are linalg.charpoly, poly_divmod
-and poly_xgcd.
+linalg.rref serves rank and kernel.  The oracle takes two kinds of rank:
+of the r x r constant term M'_0 of each non-exceptional part's map, and
+of the truncated models it keeps for exceptional parts.  Each goes to rref
+only where the rank mod p (linalg.rank_mod_p, on the residues of the
+entries) does not certify full rank.  rref is compared with sympy's exact
+rational linear algebra on seeded random matrices, and so are
+linalg.charpoly, poly_divmod and poly_xgcd; the model route is run on the
+19 x 16 model directly.
 """
 
 import random
@@ -130,6 +133,19 @@ def _counted_eliminations(monkeypatch):
     return eliminations
 
 
+def _model_route(complex_, w, N):
+    """(ker, coker, certified) of the truncated models at N and N + 4, each
+    rank by oracle._model_rank."""
+    ctx = complex_.germ.ctx
+    table = oracle.coefficient_table(oracle.part_maps(complex_, w))
+    residues = oracle._residue_table(ctx.residues, table)
+    out = []
+    for n in (N, N + 4):
+        model, rank = oracle._model_rank(complex_, table, residues, ctx.residues.p, n)
+        out.append((model.domain_dim - rank, model.codomain_dim - rank))
+    return (*out[0], out[0] == out[1])
+
+
 def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
     complex_, w = _model_19x16(ctx, ctx.one)
     table = oracle.coefficient_table(oracle.part_maps(complex_, w))
@@ -142,13 +158,17 @@ def test_oracle_rank_past_the_triangular_certificate(ctx, monkeypatch):
             lowest.setdefault(c, r)
     assert len(set(lowest.values())) < model.domain_dim
     eliminations = _counted_eliminations(monkeypatch)
-    ker, coker, certified = oracle.truncated_cokernel(complex_, (w, None), 8)
+    ker, coker, certified = _model_route(complex_, w, 8)
     # the rank mod p decided
     assert eliminations == {"rank_mod_p": [19, 27], "rref": []}
     dense = [[model.matrix[i].get(j, ctx.zero).as_fraction()
               for j in range(model.domain_dim)] for i in range(model.codomain_dim)]
     assert ker == len(_sympy(dense).nullspace()) == 0
     assert (coker, certified) == (3, True)
+    # truncated_cokernel builds no model: one rank mod p of the 2 x 2 M'_0
+    eliminations = _counted_eliminations(monkeypatch)
+    assert oracle.truncated_cokernel(complex_, (w, None), 8) == (0, 3, True)
+    assert eliminations == {"rank_mod_p": [2], "rref": []}
 
 
 def test_oracle_rank_falls_through_to_rref(ctx, monkeypatch):
@@ -156,16 +176,21 @@ def test_oracle_rank_falls_through_to_rref(ctx, monkeypatch):
     decides, once for each of the models at N and N + 4.  The 19 x 16 model
     times a - point vanishes mod p; times 1 / (a - point) it has no
     residue, so no model mod p is built; both have the rank of the model
-    itself."""
+    itself.  The rank of the 2 x 2 M'_0 that truncated_cokernel takes
+    falls through to rref in the same two ways."""
     a = ctx.sym("a")
     vanishing = a - ctx.rational(ctx.residues.point[0])
     assert ctx.residues(vanishing) == 0
     assert ctx.residues(vanishing.inverse()) is None
-    for scale, mod_p in ((vanishing, [19, 27]), (vanishing.inverse(), [])):
+    for scale, mod_p, constant_term in ((vanishing, [19, 27], [2]),
+                                        (vanishing.inverse(), [], [])):
         complex_, w = _model_19x16(ctx, scale)
         eliminations = _counted_eliminations(monkeypatch)
-        assert oracle.truncated_cokernel(complex_, (w, None), 8) == (0, 3, True)
+        assert _model_route(complex_, w, 8) == (0, 3, True)
         assert eliminations == {"rank_mod_p": mod_p, "rref": [19, 27]}
+        eliminations = _counted_eliminations(monkeypatch)
+        assert oracle.truncated_cokernel(complex_, (w, None), 8) == (0, 3, True)
+        assert eliminations == {"rank_mod_p": constant_term, "rref": [2]}
 
 
 def _random_scalar(ctx, rng):

@@ -83,6 +83,61 @@ def test_snf_sum_equals_det_valuation_randomized(ctx):
         assert sum(i.val for i in invs) == det.val
 
 
+@pytest.mark.parametrize("rank", [
+    "full",
+    pytest.param("deficient", marks=pytest.mark.xfail(
+        strict=True, raises=PrecisionExhausted,
+        reason="the elimination leaves an exact zero known only to the "
+               "working precision, so a rank-deficient exact matrix has no "
+               "certified Smith form")),
+])
+def test_snf_against_the_determinantal_divisors_by_sympy(ctx, rank):
+    """A second route for smith_normal_form: over K[[z]] the sum of the
+    first k Smith exponents is the least valuation of the k x k minors
+    (the k-th determinantal divisor), and there are as many invariants as
+    the rank.  sympy takes the minors of seeded polynomial matrices in z,
+    square and not; the deficient ones are products through an inner
+    dimension below both sides."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def valuation(expr):
+        expr = sympy.expand(expr)
+        if expr == 0:
+            return math.inf
+        return min(e for (e,) in sympy.Poly(expr, z).monoms())
+
+    def poly(rng):
+        return sympy.Poly([rng.choice((0, 0, 1, -1, 2)) for _ in range(3)], z).as_expr()
+
+    rng = random.Random(26)
+    checked, exponents_seen = 0, set()
+    while checked < 12:
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        if rank == "full":
+            sm = sympy.Matrix(rows, cols, lambda i, j: poly(rng))
+        else:
+            inner = rng.randint(1, 2)
+            sm = (sympy.Matrix(rows, inner, lambda i, j: poly(rng))
+                  * sympy.Matrix(inner, cols, lambda i, j: poly(rng))).expand()
+        if (sm.rank() == min(rows, cols)) != (rank == "full"):
+            continue
+        m = LaurentMatrix(ctx, [
+            [TL(ctx, 0, [ctx.rational(int(c)) for c in
+                         reversed(sympy.Poly(e, z).all_coeffs())] if e != 0 else [])
+             for e in sm.row(i)] for i in range(rows)])
+        exponents = [inv.val for inv in smith_normal_form(m)]
+        divisors = []
+        for k in range(1, sm.rank() + 1):
+            divisors.append(min(valuation(sm.extract(list(r), list(c)).det())
+                                for r in itertools.combinations(range(rows), k)
+                                for c in itertools.combinations(range(cols), k)))
+        assert list(itertools.accumulate(exponents)) == divisors, sm
+        exponents_seen.add(any(exponents))
+        checked += 1
+    assert exponents_seen == {False, True}
+
+
 def test_snf_requires_power_series(ctx):
     m = LaurentMatrix(ctx, [[mono(ctx, ctx.one, -1)]])
     with pytest.raises(Exception):

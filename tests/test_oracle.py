@@ -12,6 +12,7 @@ import pytest
 from nahmkit import linalg, lmatrix, localnahm, oracle
 from nahmkit.examples import generate_examples
 from nahmkit.field import FieldContext
+from nahmkit.filtered import normalize_weight
 from nahmkit.higgs import ElementaryBlock, HiggsGerm, realize
 from nahmkit.localnahm import build_local_complex
 from nahmkit.oracle import (
@@ -146,9 +147,10 @@ def test_degree_crosscheck_randomized(ctx):
             ctx, [SingularPoint(pt, HiggsGerm.from_blocks(ctx, blocks, "finite"))]
         )
         assert degree_crosscheck(d, w)
-    # exceptional blocks: two weights in random order, theta e_1 = e_0 dz/z
+    # exceptional blocks: theta e_1 = e_0 dz/z, e_0 of no higher weight
     for _ in range(10):
-        pair = [F(rng.randint(-7, 0), rng.randint(1, 8)) for _ in range(2)]
+        pair = sorted((F(rng.randint(-7, 0), rng.randint(1, 8)) for _ in range(2)),
+                      key=lambda c: normalize_weight(c, 0))
         b = nilpotent_block(ctx, tuple(pair), {(0, 1)})
         assert degree_crosscheck(point_data(ctx, HiggsGerm.from_blocks(ctx, [b])), w), pair
 
@@ -221,7 +223,7 @@ def _workload_points(monkeypatch, seed):
     return seen
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
 def test_oracle_on_the_workload_points_against_exact_elimination(monkeypatch, seed):
     """On every point of the benchmark's oracle workload the oracle's
     (ker, coker, certified) is that of the all-exact route."""
@@ -261,22 +263,39 @@ def test_part_maps_against_the_matrix_sum_on_the_workload_points(monkeypatch, se
             assert _entry_data(M) == _entry_data(ref), [p.block for p in complex_.parts]
 
 
+def _constant_term_entries(complex_, maps):
+    """The nonzero entries of M'_0, the constant term of z^-n1 M z^n0, on
+    every non-exceptional part."""
+    count = 0
+    for part, M in zip(complex_.parts, maps):
+        if part.block.is_exceptional():
+            continue
+        n0, n1 = part.c0_exponents, part.c1_exponents
+        count += sum(not e.coeff(n1[i] - n0[j]).is_zero()
+                     for i, row in enumerate(M.entries) for j, e in enumerate(row))
+    return count
+
+
 def test_one_realization_per_part_and_one_residue_per_coefficient(ctx, monkeypatch):
     """Count-only guard on a point of two parts, one of them exceptional:
     truncated_cokernel and degree_crosscheck realize each part once, and the
-    exceptional part once more (to read its theta); ctx.residues is called
-    once for each nonzero coefficient of the maps, far fewer times than the
-    two models have entries."""
+    exceptional part once more (to read its theta).  The models are built
+    over the exceptional part alone; ctx.residues is called once for each
+    nonzero coefficient of its map, far fewer times than its two models
+    have entries, and once for each nonzero entry of M'_0 on the other."""
     w = ctx.sym("w")
     germ = HiggsGerm.from_blocks(ctx, [suite_germ(ctx, (2, 1)).blocks[0],
                                        nilpotent_block(ctx, (F(-1, 2), F(0)), {(0, 1)})])
     c = build_local_complex(germ)
     assert [p.block.is_exceptional() for p in c.parts] == [False, True]
-    table = coefficient_table(part_maps(c, w))
+    maps = part_maps(c, w)
+    exceptional = dataclasses.replace(c, parts=c.parts[1:])
+    table = coefficient_table(maps[1:])
     coefficients = sum(len(terms) for part in table for _, _, terms in part)
     entries = sum(len(row) for n in (24, 28)
-                  for row in build_truncation_model(c, table, n).matrix)
-    calls = {"realize": 0, "residues": 0}
+                  for row in build_truncation_model(exceptional, table, n).matrix)
+    constant_terms = _constant_term_entries(c, maps)
+    calls = {"realize": 0, "residues": 0, "model_parts": []}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -284,12 +303,18 @@ def test_one_realization_per_part_and_one_residue_per_coefficient(ctx, monkeypat
             return fn(*args)
         return wrapped
 
+    def recording(complex_, table, N):
+        calls["model_parts"].append(len(complex_.parts))
+        return build_truncation_model(complex_, table, N)
+
     residue_map = type(ctx.residues)
     monkeypatch.setattr(oracle, "realize", counting("realize", oracle.realize))
+    monkeypatch.setattr(oracle, "build_truncation_model", recording)
     monkeypatch.setattr(residue_map, "__call__", counting("residues", residue_map.__call__))
     assert truncated_cokernel(c, (w, None), 24) == (0, c.index, True)
     assert degree_crosscheck(point_data(ctx, germ), w, 24)
-    assert calls == {"realize": len(c.parts) + 1, "residues": coefficients}
+    assert calls == {"realize": len(c.parts) + 1,
+                     "residues": coefficients + constant_terms, "model_parts": [1, 1]}
     assert 4 * coefficients < entries
 
 
@@ -303,8 +328,9 @@ def test_uncertified_module_kernel_is_reported(ctx, monkeypatch):
 
 def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch):
     """Count-only guard: on each suite shape at N = 24, one realization per
-    part, and every rank is decided mod p, with no call of rref."""
-    calls = {"rref": 0, "realize": 0}
+    part, no truncated model, and one rank mod p of the r x r matrix M'_0
+    per part, which decides: no call of rref."""
+    calls = {"rref": 0, "realize": 0, "build_truncation_model": 0, "rank_mod_p": []}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -312,14 +338,21 @@ def test_truncated_cokernel_realizes_once_and_never_eliminates(ctx, monkeypatch)
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(oracle, "rref", counting("rref", oracle.rref))
-    monkeypatch.setattr(oracle, "realize", counting("realize", oracle.realize))
+    def rows_of(rows, p):
+        calls["rank_mod_p"].append(len(rows))
+        return linalg.rank_mod_p(rows, p)
+
+    for name in ("rref", "realize", "build_truncation_model"):
+        monkeypatch.setattr(oracle, name, counting(name, getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "rank_mod_p", rows_of)
     w = ctx.sym("w")
     for shape in SUITE_SHAPES:
         c = suite_complex(ctx, shape)
-        calls.update(rref=0, realize=0)
+        calls.update(rref=0, realize=0, build_truncation_model=0, rank_mod_p=[])
         assert truncated_cokernel(c, (w, None), 24)[0::2] == (0, True)
-        assert calls == {"rref": 0, "realize": len(c.parts)}, shape
+        ranks = [len(part.c0_exponents) for part in c.parts]
+        assert calls == {"rref": 0, "realize": len(c.parts), "build_truncation_model": 0,
+                         "rank_mod_p": ranks}, shape
 
 
 def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypatch):
@@ -358,11 +391,13 @@ def test_one_series_elimination_per_part_and_no_back_substitution(ctx, monkeypat
     assert calls == {"_eliminate": len(exceptional), "_back_substitute": 0}
 
 
-@pytest.mark.parametrize("weights, index", [((F(-1, 2), F(0)), 1), ((F(0), F(-1, 2)), 2)])
+@pytest.mark.parametrize("weights, index", [((F(-1, 2), F(0)), 1)])
 def test_nilpotent_part_is_read_in_the_sorted_frame(ctx, weights, index):
-    """theta e_1 = e_0 dz/z.  The join P_{<1} + theta P_0 adds z^-1 e_0,
-    which is new only when e_0 has weight 0; the bookkeeping reads the
-    nilpotent part in the weight-sorted frame the realization uses."""
+    """theta e_1 = e_0 dz/z, e_0 of the lower weight, so that theta
+    preserves the filtration (with e_0 of weight 0 ElementaryBlock.make
+    refuses it).  The realization sorts the lines by descending weight,
+    which swaps them; the bookkeeping reads the nilpotent part in that
+    frame, so the join P_{<1} + theta P_0 adds nothing new on e_0."""
     b = nilpotent_block(ctx, weights, {(0, 1)})
     germ = HiggsGerm.from_blocks(ctx, [b])
     assert build_local_complex(germ).index == index
@@ -406,7 +441,22 @@ def test_oracle_rejects_an_off_by_one_strict_exponent(monkeypatch, delta):
     assert not degree_crosscheck(data, w)
 
 
-@pytest.mark.parametrize("shape", [(1, 0), (2, 1), (3, 2)], ids=["1-0", "2-1", "3-2"])
+# the suite shapes on which the determinant identity of the lattice map
+# was first measured
+SIX_SHAPES = [(1, 0), (1, 1), (2, 1), (3, 2), (1, 3), (5, 1)]
+SIX_IDS = ["%d-%d" % s for s in SIX_SHAPES]
+
+
+def _moved_c1(complex_, i, delta):
+    """The complex with c1_exponents[i] of its first part moved by delta."""
+    part = complex_.parts[0]
+    n1 = list(part.c1_exponents)
+    n1[i] += delta
+    bad = dataclasses.replace(part, c1_exponents=tuple(n1))
+    return dataclasses.replace(complex_, parts=(bad,) + complex_.parts[1:])
+
+
+@pytest.mark.parametrize("shape", SIX_SHAPES, ids=SIX_IDS)
 def test_a_raised_c1_exponent_is_a_verdict_failure(ctx, shape):
     """One more on a C1 generator exponent moves the C1 floor above an
     image of the map: the bookkeeping disagrees with the realization, and
@@ -419,3 +469,68 @@ def test_a_raised_c1_exponent_is_a_verdict_failure(ctx, shape):
     c = dataclasses.replace(c, parts=(bad,) + c.parts[1:])
     with pytest.raises(VerdictFailure, match="not lattice-preserving"):
         truncated_cokernel(c, (ctx.sym("w"), None), 24)
+
+
+@pytest.mark.parametrize("shape", SIX_SHAPES, ids=SIX_IDS)
+def test_a_lowered_c1_exponent_is_a_verdict_failure(ctx, shape):
+    """One less on any C1 generator exponent leaves every image above the
+    floor, so part_maps passes it, and the truncated models stay injective:
+    they report the index plus one, certified.  The row of M'_0 that reads
+    the lowered exponent is zero, its rank falls short, and
+    truncated_cokernel refuses the map as a lattice isomorphism."""
+    w = ctx.sym("w")
+    c = suite_complex(ctx, shape)
+    for i in range(len(c.parts[0].c1_exponents)):
+        bad = _moved_c1(c, i, -1)
+        assert _model_cokernel(bad, w, 24) == (0, c.index + 1, True)
+        with pytest.raises(VerdictFailure, match="not a lattice isomorphism"):
+            truncated_cokernel(bad, (w, None), 24)
+
+
+def _model_cokernel(complex_, w, N):
+    """(ker, coker, certified) of the truncated models of every part at N
+    and N + 4, each rank by oracle._model_rank: the route truncated_cokernel
+    keeps for exceptional parts, run here on every part."""
+    ctx = complex_.germ.ctx
+    table = coefficient_table(part_maps(complex_, w))
+    residues = oracle._residue_table(ctx.residues, table)
+    out = []
+    for n in (N, N + 4):
+        model, rank = oracle._model_rank(complex_, table, residues, ctx.residues.p, n)
+        out.append((model.domain_dim - rank, model.codomain_dim - rank))
+    return (*out[0], out[0] == out[1])
+
+
+@pytest.mark.parametrize("N", [8, 24])
+def test_the_models_are_a_second_route(ctx, N):
+    """On every suite shape and every pair of suite shapes, the models built
+    directly give (0, index) at N and N + 4, which is what the rank of M'_0
+    gives without them."""
+    w = ctx.sym("w")
+    germs = [suite_germ(ctx, s) for s in SUITE_SHAPES]
+    pairs = [HiggsGerm.from_blocks(ctx, [a.blocks[0], b.blocks[0]])
+             for i, a in enumerate(germs) for b in germs[i + 1:]]
+    for germ in germs + pairs:
+        c = build_local_complex(germ)
+        assert _model_cokernel(c, w, N) == (0, c.index, True) \
+            == truncated_cokernel(c, (w, None), N), [p.block for p in c.parts]
+
+
+def test_an_exceptional_part_goes_through_the_models(ctx, monkeypatch):
+    """A point with an exceptional part: that part alone gets the two
+    models, and the point still gets (0, index, True)."""
+    w = ctx.sym("w")
+    seen = []
+
+    def recording(complex_, table, N):
+        seen.append(([p.block.is_exceptional() for p in complex_.parts], N))
+        return build_truncation_model(complex_, table, N)
+
+    monkeypatch.setattr(oracle, "build_truncation_model", recording)
+    for blocks in ([nilpotent_block(ctx, (F(-1, 2), F(0)), {(0, 1)})],
+                   [suite_germ(ctx, (3, 2)).blocks[0],
+                    nilpotent_block(ctx, (F(0), F(0)), {(0, 1)})]):
+        c = build_local_complex(HiggsGerm.from_blocks(ctx, blocks))
+        seen.clear()
+        assert truncated_cokernel(c, (w, None), 24) == (0, c.index, True)
+        assert seen == [([True], 24), ([True], 28)]

@@ -4,11 +4,14 @@ Every case hands a public entry point data of the wrong kind or shape and
 checks the type (CLI exit code 2) and the message of the refusal.
 """
 
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
+from nahmkit import schema
+from nahmkit.cli import cli_run
 from nahmkit.elliptic import a0_check, a1a2_check, a3_check
 from nahmkit.errors import InputError
 from nahmkit.examples import example_context, generate_examples
@@ -59,6 +62,10 @@ def _pair(ctx):
     return [[ctx.zero, ctx.zero], [ctx.one, ctx.zero]]
 
 
+def _upper_pair(ctx):
+    return [[ctx.zero, ctx.one], [ctx.zero, ctx.zero]]
+
+
 CASES = [
     ("a0_check", lambda c: a0_check(_bundle(c)),
      "a0_check expects Higgs data on the dual torus"),
@@ -98,6 +105,9 @@ CASES = [
      "nilpotent part has wrong shape"),
     ("block-nilp-upper", lambda c: _block(c, weights=(0, 0), nilp=_pair(c)),
      "nilpotent part must be strictly upper"),
+    ("block-nilp-filtration",
+     lambda c: _block(c, weights=(0, Fraction(-1, 2)), nilp=_upper_pair(c)),
+     "nilpotent part maps a line into a line of higher weight"),
     ("block-twists", lambda c: _block(c, weights=(0, 0), twists=(0,)),
      "twists do not match the upstairs rank"),
     ("block-radicand", lambda c: _block(c, 2, 1, lead=c.one, radicand=c.rational(2)),
@@ -120,3 +130,35 @@ CASES = [
 def test_public_refusal(ctx, call, message):
     with pytest.raises(InputError, match=re.escape(message)):
         call(ctx)
+
+
+def _unfiltered_document(ctx):
+    """The tame-rank1 document with residue 0, weights [0, -1/2] and the
+    nilpotent part e_1 -> e_0: it sends the weight -1/2 line into the
+    weight 0 line, so theta does not preserve the filtration."""
+    doc = json.loads(schema.dumps(generate_examples("tame-rank1", ctx)))
+    block = doc["payload"]["germs"][0]["blocks"][0]
+    block.update(
+        alpha=schema.scalar_to_json(ctx.zero),
+        weights=[schema.rat_to_json(Fraction(0)), schema.rat_to_json(Fraction(-1, 2))],
+        degrees=[0, 0],
+        nilpotent=[[schema.scalar_to_json(x) for x in row] for row in _upper_pair(ctx)],
+    )
+    doc["payload"]["base_degrees"] = [[[0, 0]]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_unfiltered_nilpotent_document_exits_2(ctx, tmp_path, capsys, command):
+    path = tmp_path / "unfiltered.json"
+    path.write_text(_unfiltered_document(ctx))
+    assert cli_run([command, str(path)]) == 2
+    assert "nilpotent part maps a line into a line of higher weight" in capsys.readouterr().err
+
+
+def test_nilpotent_part_into_a_lower_weight_is_kept(ctx):
+    """The same entry with the weights swapped sends the weight 0 line into
+    the weight -1/2 line: theta preserves the filtration, and the block is
+    made."""
+    b = _block(ctx, weights=(Fraction(-1, 2), 0), nilp=_upper_pair(ctx))
+    assert b.nilp == tuple(tuple(row) for row in _upper_pair(ctx))

@@ -219,7 +219,7 @@ def test_roundtrip_derives_each_invariant_once(ctx, monkeypatch):
 
 def test_scans_dualize_only_exceptional_blocks(ctx, monkeypatch):
     nil = ElementaryBlock.make(
-        ctx, 1, 0, weights=(F(0), F(-1, 2)), degrees=(-1, 0),
+        ctx, 1, 0, weights=(F(-1, 2), F(0)), degrees=(0, -1),
         nilp=((ctx.zero, ctx.one), (ctx.zero, ctx.zero)),
     )
     exc = ElementaryBlock.make(ctx, 1, 0, weights=(F(-1, 3),), degrees=(-1,))
